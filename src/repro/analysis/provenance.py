@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, is_dataclass
 from typing import Any, Dict, Optional
 
@@ -52,3 +53,12 @@ def provenance_header(
     if extra:
         parts.extend(f"{key}={value}" for key, value in sorted(extra.items()))
     return "# " + " ".join(parts)
+
+
+def write_output(path: str, text: str) -> None:
+    """Write one recorded output, creating its directory if needed."""
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)

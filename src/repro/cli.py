@@ -27,8 +27,17 @@ regenerated without writing Python:
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
+from types import ModuleType
 from typing import List, Optional
+
+from repro.experiments import bench, chaos_unified, live_smoke, scale
+
+
+def _experiment(name: str) -> ModuleType:
+    """Import an experiment driver only when its subcommand runs."""
+    return importlib.import_module(f"repro.experiments.{name}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,33 +53,43 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="probe rate/duration scale (1.0 = paper rates)")
     fig2.add_argument("--resolvers", type=int, default=None,
                       help="limit the population (default: all 45)")
+    fig2.set_defaults(run=lambda a: _experiment("fig2_ratelimits").main(
+        scale=a.scale, resolver_count=a.resolvers))
 
     fig4 = sub.add_parser("fig4", help="attack validation sweeps (setups a-d)")
     fig4.add_argument("--scale", type=float, default=0.15,
                       help="timeline compression (1.0 = 50-second runs)")
     fig4.add_argument("--quick", action="store_true", help="thin the sweeps")
+    fig4.set_defaults(run=lambda a: _experiment("fig4_attacks").main(
+        time_scale=a.scale, quick=a.quick))
 
-    fig8 = sub.add_parser("fig8", help="DCC vs vanilla (Table 2 scenarios)")
-    fig8.add_argument("--scale", type=float, default=0.25)
-    fig8.add_argument("--seed", type=int, default=42)
-
-    fig9 = sub.add_parser("fig9", help="signaling on/off on a forwarder chain")
-    fig9.add_argument("--scale", type=float, default=0.25)
-    fig9.add_argument("--seed", type=int, default=42)
+    for name, module, help_text in (
+        ("fig8", "fig8_resilience", "DCC vs vanilla (Table 2 scenarios)"),
+        ("fig9", "fig9_signaling", "signaling on/off on a forwarder chain"),
+    ):
+        figure = sub.add_parser(name, help=help_text)
+        figure.add_argument("--scale", type=float, default=0.25)
+        figure.add_argument("--seed", type=int, default=42)
+        figure.set_defaults(run=lambda a, m=module: _experiment(m).main(scale=a.scale, seed=a.seed))
 
     fig10 = sub.add_parser("fig10", help="overhead vs tracked entities")
     fig10.add_argument("--quick", action="store_true")
     fig10.add_argument("--ops", type=int, default=50_000)
     fig10.add_argument("--seed", type=int, default=11)
+    fig10.set_defaults(run=lambda a: _experiment("fig10_overhead").main(
+        ops=a.ops, quick=a.quick, seed=a.seed))
 
     fig11 = sub.add_parser("fig11", help="added processing delay CDFs")
     fig11.add_argument("--quick", action="store_true")
+    fig11.set_defaults(run=lambda a: _experiment("fig11_delay").main(quick=a.quick))
 
-    sub.add_parser("table1", help="DCC state vs resolver state")
+    table1 = sub.add_parser("table1", help="DCC state vs resolver state")
+    table1.set_defaults(run=lambda a: _experiment("table1_state").main())
     ablations = sub.add_parser(
         "ablations", help="design-choice ablations (schedulers, depth)"
     )
     ablations.add_argument("--seed", type=int, default=1)
+    ablations.set_defaults(run=lambda a: _experiment("ablations").main(seed=a.seed))
 
     selfcheck = sub.add_parser(
         "selfcheck",
@@ -83,6 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     selfcheck.add_argument("--runs", type=int, default=2)
     selfcheck.add_argument("--out", type=str, default=None,
                            help="also write the report to this file")
+    selfcheck.set_defaults(run=lambda a: _experiment("selfcheck").main(
+        seed=a.seed, scale=a.scale, runs=a.runs, out=a.out))
 
     obs = sub.add_parser(
         "obs",
@@ -96,26 +117,33 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="directory for metrics.jsonl and trace.json")
     obs.add_argument("--top", type=int, default=10,
                      help="heavy-hitter table depth")
+    obs.set_defaults(run=lambda a: _experiment("obs_demo").main(
+        scale=a.scale, seed=a.seed, out_dir=a.out_dir, top=a.top))
 
-    chaos_matrix = sub.add_parser(
-        "chaos-matrix",
-        help="sim-only resilience comparison under infrastructure faults "
-        "(DCC on/off); `repro chaos` replays schedules on either backend",
+    chaos = sub.add_parser(
+        "chaos",
+        help="replay one fault schedule on the sim or live backend and "
+        "audit recovery SLOs (see docs/CHAOS.md)",
+        description=chaos_unified.DESCRIPTION,
     )
-    chaos_matrix.add_argument("--scale", type=float, default=0.25)
-    chaos_matrix.add_argument("--seed", type=int, default=42)
-    chaos_matrix.add_argument("--out", type=str, default=None,
-                              help="also write the report to this file")
+    chaos_unified.add_arguments(chaos)
+    chaos.set_defaults(run=chaos_unified.run_args)
 
-    resilience = sub.add_parser(
-        "resilience",
-        help="resilience matrix: vanilla vs hardened resolver under a "
-        "total authoritative outage + NX flood",
-    )
-    resilience.add_argument("--scale", type=float, default=0.25)
-    resilience.add_argument("--seed", type=int, default=42)
-    resilience.add_argument("--out", type=str, default=None,
+    for name, module, help_text in (
+        ("chaos-matrix", "chaos_resilience",
+         "sim-only resilience comparison under infrastructure faults "
+         "(DCC on/off); `repro chaos` replays schedules on either backend"),
+        ("resilience", "resilience_matrix",
+         "resilience matrix: vanilla vs hardened resolver under a "
+         "total authoritative outage + NX flood"),
+    ):
+        matrix = sub.add_parser(name, help=help_text)
+        matrix.add_argument("--scale", type=float, default=0.25)
+        matrix.add_argument("--seed", type=int, default=42)
+        matrix.add_argument("--out", type=str, default=None,
                             help="also write the report to this file")
+        matrix.set_defaults(run=lambda a, m=module: _experiment(m).MATRIX.main(
+            scale=a.scale, seed=a.seed, out=a.out))
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -145,52 +173,46 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="honor the file's recorded bug injection on replay")
     fuzz.add_argument("--quiet", action="store_true",
                       help="suppress the live verdict-log tail")
+    fuzz.set_defaults(run=_cmd_fuzz)
 
     live = sub.add_parser(
         "live",
         help="benign+NX-flood smoke over real asyncio UDP sockets "
         "(transport backend + chaos proxy); writes results/live_smoke.txt",
+        description=live_smoke.DESCRIPTION,
     )
-    live.add_argument(
-        "live_args", nargs=argparse.REMAINDER, metavar="ARGS",
-        help="flags forwarded to repro.experiments.live_smoke "
-        "(--duration, --seed, --loss, --min-goodput, --check-against, ...)",
-    )
+    live_smoke.add_arguments(live)
+    live.set_defaults(run=live_smoke.run_args)
 
-    bench = sub.add_parser(
+    bench_cmd = sub.add_parser(
         "bench",
         help="time MOPI-FQ, the event loop, and fig10-quick; "
         "writes BENCH_<shortrev>.json (perf baseline trajectory)",
     )
-    bench.add_argument(
-        "bench_args", nargs=argparse.REMAINDER, metavar="ARGS",
-        help="flags forwarded to repro.experiments.bench (--ops, --events, --out-dir)",
-    )
+    bench.add_arguments(bench_cmd)
+    bench_cmd.set_defaults(run=bench.run_args)
 
-    scale = sub.add_parser(
+    scale_cmd = sub.add_parser(
         "scale",
         help="million-client hybrid fluid/packet scenario with double-run "
         "digests per mode and a hybrid-vs-packet verdict gate",
+        description=scale.DESCRIPTION,
     )
-    scale.add_argument(
-        "scale_args", nargs=argparse.REMAINDER, metavar="ARGS",
-        help="flags forwarded to repro.experiments.scale "
-        "(--clients, --mode, --runs, --duration, --seed, --out)",
-    )
+    scale.add_arguments(scale_cmd)
+    scale_cmd.set_defaults(run=scale.run_args)
 
-    lint = sub.add_parser(
+    # no options of its own: everything after `lint` is forwarded to
+    # tools.reprolint, --help included
+    sub.add_parser(
         "lint",
+        add_help=False,
         help="run the reprolint static analyzer (rules R1-R9); defaults "
         "to src/ tests/ tools/ against the checked-in ratchet",
-    )
-    lint.add_argument(
-        "lint_args", nargs=argparse.REMAINDER, metavar="ARGS",
-        help="paths and flags forwarded to tools.reprolint "
-        "(see python -m tools.reprolint --help)",
     )
 
     everything = sub.add_parser("all", help="run every experiment (quick settings)")
     everything.add_argument("--scale", type=float, default=0.1)
+    everything.set_defaults(run=_cmd_all)
     return parser
 
 
@@ -271,112 +293,29 @@ def _cmd_lint(lint_args: List[str]) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    tokens = list(sys.argv[1:] if argv is None else argv)
-    if tokens and tokens[0] == "lint":
-        # forwarded verbatim: argparse's REMAINDER drops leading flags
-        # (bpo-17050), so lint never goes through the parser
-        return _cmd_lint(tokens[1:])
-    if tokens and tokens[0] == "live":
-        # same REMAINDER caveat: the smoke driver owns its own argparse
-        from repro.experiments import live_smoke
+    parser = _build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        return _cmd_lint(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args.run(args) or 0
 
-        return live_smoke.main(tokens[1:])
-    if tokens and tokens[0] == "bench":
-        from repro.experiments import bench
 
-        return bench.main(tokens[1:])
-    if tokens and tokens[0] == "chaos":
-        # fault-schedule replay on either backend; owns its own argparse
-        # (same REMAINDER caveat as live/bench)
-        from repro.experiments import chaos_unified
-
-        return chaos_unified.main(tokens[1:])
-    if tokens and tokens[0] == "scale":
-        # hybrid fluid/packet million-client runs; owns its own argparse
-        from repro.experiments import scale
-
-        return scale.main(tokens[1:])
-    args = _build_parser().parse_args(tokens)
-
-    if args.command == "fig2":
-        from repro.experiments import fig2_ratelimits
-
-        fig2_ratelimits.main(scale=args.scale, resolver_count=args.resolvers)
-    elif args.command == "fig4":
-        from repro.experiments import fig4_attacks
-
-        fig4_attacks.main(time_scale=args.scale, quick=args.quick)
-    elif args.command == "fig8":
-        from repro.experiments import fig8_resilience
-
-        fig8_resilience.main(scale=args.scale, seed=args.seed)
-    elif args.command == "fig9":
-        from repro.experiments import fig9_signaling
-
-        fig9_signaling.main(scale=args.scale, seed=args.seed)
-    elif args.command == "fig10":
-        from repro.experiments import fig10_overhead
-
-        fig10_overhead.main(ops=args.ops, quick=args.quick, seed=args.seed)
-    elif args.command == "fig11":
-        from repro.experiments import fig11_delay
-
-        fig11_delay.main(quick=args.quick)
-    elif args.command == "table1":
-        from repro.experiments import table1_state
-
-        table1_state.main()
-    elif args.command == "ablations":
-        from repro.experiments import ablations
-
-        ablations.main(seed=args.seed)
-    elif args.command == "selfcheck":
-        from repro.experiments import selfcheck
-
-        return selfcheck.main(
-            seed=args.seed, scale=args.scale, runs=args.runs, out=args.out
-        )
-    elif args.command == "obs":
-        from repro.experiments import obs_demo
-
-        return obs_demo.main(
-            scale=args.scale, seed=args.seed, out_dir=args.out_dir, top=args.top
-        )
-    elif args.command == "chaos-matrix":
-        from repro.experiments import chaos_resilience
-
-        chaos_resilience.main(scale=args.scale, seed=args.seed, out=args.out)
-    elif args.command == "resilience":
-        from repro.experiments import resilience_matrix
-
-        return resilience_matrix.main(scale=args.scale, seed=args.seed, out=args.out)
-    elif args.command == "fuzz":
-        return _cmd_fuzz(args)
-    elif args.command == "lint":
-        return _cmd_lint(args)
-    elif args.command == "all":
-        from repro.experiments import (
-            chaos_resilience,
-            fig2_ratelimits,
-            fig4_attacks,
-            fig8_resilience,
-            fig9_signaling,
-            fig10_overhead,
-            fig11_delay,
-            resilience_matrix,
-            table1_state,
-        )
-
-        fig2_ratelimits.main(scale=args.scale, resolver_count=10)
-        fig4_attacks.main(time_scale=args.scale, quick=True)
-        fig8_resilience.main(scale=args.scale)
-        fig9_signaling.main(scale=args.scale)
-        fig10_overhead.main(quick=True)
-        fig11_delay.main(quick=True)
-        table1_state.main()
-        chaos_resilience.main(scale=max(args.scale, 0.15))
-        resilience_matrix.main(scale=max(args.scale, 0.1))
-    return 0
+def _cmd_all(args: argparse.Namespace) -> None:
+    quick = str(args.scale)
+    for argv in (
+        ["fig2", "--scale", quick, "--resolvers", "10"],
+        ["fig4", "--scale", quick, "--quick"],
+        ["fig8", "--scale", quick],
+        ["fig9", "--scale", quick],
+        ["fig10", "--quick"],
+        ["fig11", "--quick"],
+        ["table1"],
+        ["chaos-matrix", "--scale", str(max(args.scale, 0.15))],
+        ["resilience", "--scale", str(max(args.scale, 0.1))],
+    ):
+        main(argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,6 +17,7 @@ assertions).
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -166,18 +167,23 @@ def run_bench(mopifq_ops: int = 50_000, events: int = 200_000) -> Dict[str, Any]
     }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench", description="write the perf baseline BENCH_<shortrev>.json"
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ops", type=int, default=50_000,
                         help="MOPI-FQ operations to time")
     parser.add_argument("--events", type=int, default=200_000,
                         help="simulator events to time")
     parser.add_argument("--out-dir", default="results")
-    args = parser.parse_args(argv)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro bench", description="write the perf baseline BENCH_<shortrev>.json"
+    )
+    add_arguments(parser)
+    return run_args(parser.parse_args(argv))
+
+
+def run_args(args: argparse.Namespace) -> int:
 
     payload = run_bench(mopifq_ops=args.ops, events=args.events)
     os.makedirs(args.out_dir, exist_ok=True)

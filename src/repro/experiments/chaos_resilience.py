@@ -4,16 +4,10 @@ The paper's evaluation (Figures 8/9) assumes the resolution
 infrastructure stays healthy while adversarial congestion rages.  This
 experiment drops that assumption: mid-attack, the primary target
 authoritative server crashes and the path to its surviving replica
-degrades (a loss/latency ramp), then everything heals.  Each fault
+degrades (a loss/latency ramp), then everything heals.  The fault
 schedule is run twice -- vanilla resolver vs DCC-enabled resolver --
-under an identical virtual-time fault plan, and we report:
-
-- **availability** -- fraction of benign requests answered successfully,
-  overall and during the fault window;
-- **benign goodput** -- summed effective QPS of the benign clients,
-  averaged over the pre-fault / fault / post-fault windows;
-- **recovery time** -- seconds from the fault clearing until smoothed
-  benign goodput regains 95% of its pre-fault baseline.
+under an identical virtual-time fault plan (the metrics are those of
+:mod:`repro.experiments.fault_matrix`).
 
 The interesting question is whether DCC helps or hurts when capacity
 halves under it: fair queuing should keep dividing the *remaining*
@@ -22,48 +16,33 @@ harder, so DCC-on benign goodput should dominate DCC-off throughout.
 
 Unlike Table 2, every benign client runs for the whole measurement
 window so the pre/during/post goodput windows are directly comparable.
-The attacker is the NX abuser at paper rate.  ``scale`` compresses the
-timeline only (rates stay at paper values), as in the other drivers.
+The attacker is the NX abuser at paper rate.
+
+CLI: ``python -m repro chaos-matrix [--scale S] [--seed N] [--out F]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
-from repro.analysis.report import render_table, sparkline
-from repro.experiments.common import AttackScenario, ScenarioConfig, ScenarioResult
-from repro.experiments.fig8_resilience import (
-    paper_monitor_config,
-    paper_policy_templates,
-)
-from repro.netsim.faults import FaultStats, LinkDegradation, NodeOutage
+from repro.experiments.common import AttackScenario
+from repro.experiments.fault_matrix import CellRun, FaultMatrix
+from repro.netsim.faults import FaultSpec, LinkDegradation, NodeOutage
 from repro.workloads.schedule import ClientSpec
 
+#: the benign client names (both fault matrices use Table 2's three)
 BENIGN_CLIENTS = ("heavy", "medium", "light")
 
-#: goodput must regain this fraction of the pre-fault baseline to count
-#: as recovered
-RECOVERY_THRESHOLD = 0.95
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """The chaos schedule, in unscaled (paper-timeline) seconds.
-
-    During [start, end): the primary target nameserver is down for the
-    first ``crash_fraction`` of the window, and the links between the
-    resolvers and the surviving replicas carry an added loss/latency
-    impairment that ramps up over the first ``ramp_fraction`` of the
-    window and clears at ``end``.
-    """
-
-    start: float = 25.0
-    end: float = 45.0
-    crash_fraction: float = 0.75
-    loss: float = 0.35
-    latency: float = 0.020
-    ramp_fraction: float = 0.25
+#: fault window in unscaled (paper-timeline) seconds: the primary target
+#: nameserver is down for the first CRASH_FRACTION of it, and the links
+#: from the resolvers to the surviving replicas carry an added
+#: loss/latency impairment that ramps up over the first RAMP_FRACTION
+FAULT_START = 25.0
+FAULT_END = 45.0
+CRASH_FRACTION = 0.75
+LOSS = 0.35
+LATENCY = 0.020
+RAMP_FRACTION = 0.25
 
 
 def chaos_clients(time_scale: float = 1.0) -> List[ClientSpec]:
@@ -78,262 +57,48 @@ def chaos_clients(time_scale: float = 1.0) -> List[ClientSpec]:
     return [spec.scaled(time_scale) for spec in specs]
 
 
-@dataclass
-class ChaosRun:
-    """One (fault plan, vanilla|DCC) cell plus its derived metrics."""
-
-    use_dcc: bool
-    result: ScenarioResult
-    bucket: float
-    fault_start: float
-    fault_end: float
-    availability: float
-    fault_availability: float
-    baseline_goodput: float
-    fault_goodput: float
-    post_goodput: float
-    recovery_time: Optional[float]
-    goodput_series: List[float]
-    attacker_series: List[float]
-    fault_stats: FaultStats
-    timeline: str
-
-    def metrics(self) -> Dict[str, object]:
-        """The headline numbers (used by the determinism test)."""
-        return {
-            "availability": self.availability,
-            "fault_availability": self.fault_availability,
-            "baseline_goodput": self.baseline_goodput,
-            "fault_goodput": self.fault_goodput,
-            "post_goodput": self.post_goodput,
-            "recovery_time": self.recovery_time,
-            "crashes": self.fault_stats.crashes,
-            "recoveries": self.fault_stats.recoveries,
-        }
-
-
-def schedule_faults(scenario: AttackScenario, plan: FaultPlan, scale: float) -> None:
-    """Install ``plan`` on a built scenario (before ``run()``)."""
-    start, end = plan.start * scale, plan.end * scale
+def chaos_faults(scenario: AttackScenario, scale: float) -> List[FaultSpec]:
+    start, end = FAULT_START * scale, FAULT_END * scale
     window = end - start
-    primary = scenario.target_ans_addrs[0]
-    scenario.injector.add_node_outage(
-        NodeOutage(address=primary, at=start, duration=window * plan.crash_fraction)
-    )
-    survivors = scenario.target_ans_addrs[1:]
-    if survivors:
-        scenario.injector.add_link_degradation(
-            LinkDegradation(
-                src=[r.address for r in scenario.resolvers],
-                dst=survivors,
-                start=start,
-                end=end,
-                loss=plan.loss,
-                latency=plan.latency * scale,
-                ramp=window * plan.ramp_fraction,
-            )
-        )
-
-
-def benign_goodput_series(
-    result: ScenarioResult, bucket: float
-) -> List[float]:
-    """Summed effective QPS of the benign clients, bucketed."""
-    total: Optional[List[float]] = None
-    for name in BENIGN_CLIENTS:
-        series = result.clients[name].effective_qps_series(result.duration, bucket=bucket)
-        if total is None:
-            total = list(series)
-        else:
-            total = [a + b for a, b in zip(total, series)]
-    return total or []
-
-
-def _mean_over(series: List[float], bucket: float, lo: float, hi: float) -> float:
-    lo_i, hi_i = int(lo / bucket), min(int(hi / bucket), len(series))
-    window = series[lo_i:hi_i]
-    return sum(window) / max(1, len(window))
-
-
-def _smooth(series: List[float], radius: int = 1) -> List[float]:
-    out = []
-    for i in range(len(series)):
-        window = series[max(0, i - radius): i + radius + 1]
-        out.append(sum(window) / len(window))
-    return out
-
-
-def recovery_time(
-    series: List[float],
-    bucket: float,
-    fault_end: float,
-    baseline: float,
-    threshold: float = RECOVERY_THRESHOLD,
-) -> Optional[float]:
-    """Seconds from ``fault_end`` until smoothed goodput regains
-    ``threshold * baseline``; None if it never does in-series."""
-    if baseline <= 0:
-        return 0.0
-    target = threshold * baseline
-    smoothed = _smooth(series)
-    for i in range(len(smoothed)):
-        at = i * bucket
-        if at >= fault_end and smoothed[i] >= target:
-            return at - fault_end
-    return None
-
-
-def _benign_availability(result: ScenarioResult, lo: float, hi: float) -> float:
-    total = successes = 0
-    for name in BENIGN_CLIENTS:
-        for record in result.clients[name].records:
-            if lo <= record.sent_at < hi:
-                total += 1
-                successes += 1 if record.success else 0
-    return successes / total if total else 0.0
-
-
-def run_chaos(
-    use_dcc: bool,
-    scale: float = 1.0,
-    seed: int = 42,
-    plan: Optional[FaultPlan] = None,
-) -> ChaosRun:
-    """One chaos cell: the NX attack plus ``plan``'s fault schedule."""
-    plan = plan or FaultPlan()
-    duration = 60.0 * scale
-    bucket = 1.0 * scale
-    config = ScenarioConfig(
-        seed=seed,
-        duration=duration,
-        channel_capacity=1000.0,
-        use_dcc=use_dcc,
-        monitor=paper_monitor_config(time_scale=scale),
-        policy_templates=paper_policy_templates(time_scale=scale),
-        max_poq_depth=100,
-        max_round=75,
-        target_ans_count=2,
-    )
-    scenario = AttackScenario(config)
-    scenario.add_clients(chaos_clients(time_scale=scale))
-    schedule_faults(scenario, plan, scale)
-    result = scenario.run()
-
-    fault_start, fault_end = plan.start * scale, plan.end * scale
-    goodput = benign_goodput_series(result, bucket)
-    # Baseline: steady attack state before the fault (attack starts at
-    # 10s paper-time; [15s, fault) avoids the attack onset transient).
-    baseline = _mean_over(goodput, bucket, 15.0 * scale, fault_start)
-    return ChaosRun(
-        use_dcc=use_dcc,
-        result=result,
-        bucket=bucket,
-        fault_start=fault_start,
-        fault_end=fault_end,
-        availability=_benign_availability(result, 0.0, duration),
-        fault_availability=_benign_availability(result, fault_start, fault_end),
-        baseline_goodput=baseline,
-        fault_goodput=_mean_over(goodput, bucket, fault_start, fault_end),
-        post_goodput=_mean_over(goodput, bucket, fault_end, duration),
-        recovery_time=recovery_time(goodput, bucket, fault_end, baseline),
-        goodput_series=goodput,
-        attacker_series=result.clients["attacker"].effective_qps_series(
-            duration, bucket=bucket
+    primary, *replicas = scenario.target_ans_addrs
+    return [
+        NodeOutage(address=primary, at=start, duration=window * CRASH_FRACTION),
+        LinkDegradation(
+            src=[r.address for r in scenario.resolvers],
+            dst=replicas,
+            start=start,
+            end=end,
+            loss=LOSS,
+            latency=LATENCY * scale,
+            ramp=window * RAMP_FRACTION,
         ),
-        fault_stats=scenario.injector.stats,
-        timeline=scenario.injector.render_timeline(),
-    )
+    ]
 
 
-def run_pair(
-    scale: float = 1.0, seed: int = 42, plan: Optional[FaultPlan] = None
-) -> Dict[str, ChaosRun]:
-    """Vanilla and DCC under the identical fault schedule."""
-    return {
-        "vanilla": run_chaos(use_dcc=False, scale=scale, seed=seed, plan=plan),
-        "dcc": run_chaos(use_dcc=True, scale=scale, seed=seed, plan=plan),
-    }
-
-
-def render_report(runs: Dict[str, ChaosRun], scale: float, seed: int) -> str:
-    lines: List[str] = []
-    lines.append(
-        "=== Chaos resilience: primary-ANS crash + loss ramp during an "
-        f"NX attack (scale={scale}, seed={seed}) ==="
-    )
-    any_run = next(iter(runs.values()))
-    lines.append(
-        f"\nfault window [{any_run.fault_start:.1f}s, {any_run.fault_end:.1f}s); "
-        "schedule (identical for both runs):"
-    )
-    lines.append(any_run.timeline)
-
-    rows = []
-    for label, run in runs.items():
-        recovered = (
-            f"{run.recovery_time:.1f}s" if run.recovery_time is not None else "never"
-        )
-        rows.append(
-            [
-                label,
-                f"{run.availability:.3f}",
-                f"{run.fault_availability:.3f}",
-                round(run.baseline_goodput),
-                round(run.fault_goodput),
-                round(run.post_goodput),
-                recovered,
-            ]
-        )
-    lines.append("\nbenign availability and goodput (summed effective QPS):")
-    lines.append(
-        render_table(
-            [
-                "resolver",
-                "avail(all)",
-                "avail(fault)",
-                "goodput pre",
-                "fault",
-                "post",
-                "recovery",
-            ],
-            rows,
-        )
-    )
-
-    lines.append("\nper-second series (fault window between the dips):")
-    for label, run in runs.items():
-        lines.append(f"  {label:>7s} benign   |{sparkline(run.goodput_series)}|")
-        lines.append(f"  {label:>7s} attacker |{sparkline(run.attacker_series)}|")
-
+def verdict(runs: Dict[str, CellRun]) -> Tuple[bool, str]:
     dcc, vanilla = runs["dcc"], runs["vanilla"]
-    verdict = (
+    holds = dcc.fault_goodput >= vanilla.fault_goodput
+    text = (
         "DCC sustains benign goodput through the fault"
-        if dcc.fault_goodput >= vanilla.fault_goodput
+        if holds
         else "WARNING: DCC underperformed vanilla during the fault"
     )
-    lines.append(
-        f"\n{verdict}: {round(dcc.fault_goodput)} vs {round(vanilla.fault_goodput)} "
+    return holds, (
+        f"{text}: {round(dcc.fault_goodput)} vs {round(vanilla.fault_goodput)} "
         "QPS while capacity was degraded."
     )
-    return "\n".join(lines)
 
 
-def main(scale: float = 0.25, seed: int = 42, out: Optional[str] = None) -> None:
-    if scale <= 0:
-        raise SystemExit(f"--scale must be positive, got {scale}")
-    from repro.analysis.provenance import provenance_header
-
-    runs = run_pair(scale=scale, seed=seed)
-    header = provenance_header("chaos", seed=seed, scale=scale)
-    report = header + "\n" + render_report(runs, scale=scale, seed=seed)
-    print(report)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(report + "\n")
-        print(f"\n[written to {out}]")
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(scale=float(sys.argv[1]) if len(sys.argv) > 1 else 0.25)
+MATRIX = FaultMatrix(
+    experiment="chaos",
+    title="Chaos resilience: primary-ANS crash + loss ramp during an NX attack",
+    fault_note="primary target nameserver crashed, loss/latency ramp to its replica",
+    cells=("vanilla", "dcc"),
+    configure=lambda cell: {"use_dcc": cell == "dcc"},
+    clients=chaos_clients,
+    faults=chaos_faults,
+    fault_window=(FAULT_START, FAULT_END),
+    # the attack starts at 10 s; [15 s, fault) skips its onset transient
+    baseline_from=15.0,
+    verdict=verdict,
+)

@@ -41,17 +41,30 @@ import asyncio
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.analysis.provenance import provenance_header, write_output
 from repro.chaos import (
     LiveChaosOrchestrator,
     RecoveryAuditor,
     SimChaosOrchestrator,
     SloConfig,
 )
-from repro.dcc.mopifq import MopiFqConfig
-from repro.dcc.shim import DccConfig, DccShim
 from repro.dnscore.name import Name
+from repro.experiments.live_smoke import (
+    ATTACK_ADDR,
+    BENIGN_ADDR,
+    DRAIN_GRACE,
+    RESOLVER_ADDR,
+    ROOT_ADDR,
+    TARGET_ANS_ADDR,
+    TARGET_ORIGIN,
+    Cast,
+    attack_name,
+    build_cast,
+    render_details,
+    udp_session,
+)
 from repro.netsim.faults import (
     FaultSpec,
     LinkDegradation,
@@ -62,28 +75,17 @@ from repro.netsim.faults import (
     schedule_to_dicts,
 )
 from repro.obs import Observability
-from repro.obs.export import canonical_json, metrics_jsonl
-from repro.server.authoritative import AuthoritativeServer
+from repro.obs.export import metrics_jsonl
 from repro.server.health import HealthConfig
-from repro.server.resolver import RecursiveResolver, ResolverConfig
-from repro.transport.engine import EngineClient, EngineConfig
+from repro.server.resolver import ResolverConfig
 from repro.transport.simnet import VirtualBackend
-from repro.transport.udp import UdpBackend
-from repro.workloads.zonegen import build_root_zone, build_target_zone
 
-TARGET_ORIGIN = "target-domain."
-ROOT_ADDR = "10.0.0.1"
-TARGET_ANS_ADDR = "10.0.3.1"
-RESOLVER_ADDR = "10.0.1.1"
-POOL_ADDR = "10.0.9.1"
+POOL_ADDR = BENIGN_ADDR
 FRESH_ADDR = "10.0.9.2"
-ATTACK_ADDR = "10.0.9.66"
 
 #: names the pool client cycles through (each stays cached + goes stale)
 POOL_SIZE = 8
 
-#: extra real/virtual time after the send phase for verdict tails
-_DRAIN_GRACE = 1.0
 #: seeded inter-arrival jitter can push the last nominal send past
 #: ``duration`` by a small random walk; the harvest horizon covers it
 _NOMINAL_SLACK = 1.5
@@ -156,25 +158,6 @@ def _fresh_name(i: int) -> Name:
     return Name.from_text(f"f{i:05d}.wc.{TARGET_ORIGIN}")
 
 
-def _attack_name(i: int) -> Name:
-    return Name.from_text(f"x{i:05d}.nx.{TARGET_ORIGIN}")
-
-
-def _client_engine_config(cfg: ChaosConfig) -> EngineConfig:
-    # same reasoning as live_smoke: rto_min above the resolver's
-    # worst-case answer latency, so a client verdict depends only on
-    # *whether* the resolver answers, never on wall answer timing
-    return EngineConfig(
-        retries=1,
-        deadline=cfg.client_deadline,
-        inflight_capacity=512,
-        health=HealthConfig(
-            mode="adaptive", base_timeout=3.0, rto_min=3.0, rto_max=3.5,
-            failure_threshold=0,
-        ),
-    )
-
-
 def _resolver_config() -> ResolverConfig:
     # the hardened resolver: adaptive RTO + circuit breaker + RFC 8767
     # serve-stale.  rto_max bounds the three-attempt retry ladder at
@@ -193,108 +176,51 @@ def _resolver_config() -> ResolverConfig:
     )
 
 
-@dataclass
-class _Cast:
-    root: AuthoritativeServer
-    target: AuthoritativeServer
-    resolver: RecursiveResolver
-    shim: DccShim
-    pool: EngineClient
-    fresh: EngineClient
-    attack: EngineClient
-
-    @property
-    def nodes(self) -> List[Any]:
-        return [self.root, self.target, self.resolver,
-                self.pool, self.fresh, self.attack]
-
-    @property
-    def clients(self) -> List[EngineClient]:
-        return [self.pool, self.fresh, self.attack]
-
-
-def _build_cast(cfg: ChaosConfig) -> _Cast:
-    root_zone = build_root_zone(
-        {TARGET_ORIGIN: ("ns1.target-domain.", TARGET_ANS_ADDR)}
-    )
+def _build_cast(cfg: ChaosConfig) -> Cast:
     # TTL 1 s: pool entries expire between revisits, so during the
     # outage the pool exercises serve-stale rather than plain cache hits
-    target_zone = build_target_zone(
-        TARGET_ORIGIN, "ns1", TARGET_ANS_ADDR, answer_ttl=1, negative_ttl=1
+    return build_cast(
+        _resolver_config(), cfg.channel_capacity, cfg.client_deadline, cfg.duration,
+        [(POOL_ADDR, _pool_name, cfg.pool_rate),
+         (FRESH_ADDR, _fresh_name, cfg.fresh_rate),
+         (ATTACK_ADDR, attack_name, cfg.attack_rate)],
     )
-    root = AuthoritativeServer(ROOT_ADDR, zones=[root_zone])
-    target = AuthoritativeServer(
-        TARGET_ANS_ADDR, zones=[target_zone], udp_payload_limit=1232
-    )
-    resolver = RecursiveResolver(RESOLVER_ADDR, _resolver_config())
-    resolver.add_root_hint("a.root-servers.net.", ROOT_ADDR)
-    shim = DccShim(
-        resolver,
-        DccConfig(scheduler=MopiFqConfig(default_channel_rate=cfg.channel_capacity * 10)),
-    )
-    shim.set_channel_capacity(
-        TARGET_ANS_ADDR, cfg.channel_capacity, max(1.0, cfg.channel_capacity * 0.1)
-    )
-    engine_cfg = _client_engine_config(cfg)
-    pool = EngineClient(
-        POOL_ADDR, RESOLVER_ADDR, _pool_name,
-        rate=cfg.pool_rate, total=max(1, int(cfg.pool_rate * cfg.duration)),
-        config=engine_cfg,
-    )
-    fresh = EngineClient(
-        FRESH_ADDR, RESOLVER_ADDR, _fresh_name,
-        rate=cfg.fresh_rate, total=max(1, int(cfg.fresh_rate * cfg.duration)),
-        config=engine_cfg,
-    )
-    attack = EngineClient(
-        ATTACK_ADDR, RESOLVER_ADDR, _attack_name,
-        rate=cfg.attack_rate, total=max(1, int(cfg.attack_rate * cfg.duration)),
-        config=engine_cfg,
-    )
-    return _Cast(root, target, resolver, shim, pool, fresh, attack)
 
 
 def _harvest(
     cfg: ChaosConfig,
-    cast: _Cast,
+    cast: Cast,
     faults: List[FaultSpec],
-    timeline: List[str],
+    timeline: List[Tuple[float, str]],
 ) -> ChaosReport:
+    pool, fresh, attack = cast.clients
     span = fault_span(faults)
     if span is None:
         # no faults: the whole run is "pre"; SLO gating will report the
         # missing recovery window rather than inventing one
         span = (cfg.duration, cfg.duration)
     auditor = RecoveryAuditor(span, cfg.duration, cfg.slo)
-    auditor.add_samples(cast.pool.samples)
-    auditor.add_samples(cast.fresh.samples)
+    auditor.add_samples(pool.samples)
+    auditor.add_samples(fresh.samples)
 
-    report = ChaosReport(config=cfg, auditor=auditor, timeline=timeline)
-    for client in cast.clients:
-        if client.engine is not None:
-            report.liveness.extend(
-                f"{client.address}: {item}"
-                for item in client.engine.liveness_violations(grace=_DRAIN_GRACE)
-            )
-        if not client.finished:
-            report.liveness.append(
-                f"{client.address}: {client.sent} sent but only "
-                f"{sum(client.verdicts.values())} verdicts at harvest"
-            )
+    report = ChaosReport(
+        config=cfg, auditor=auditor, liveness=cast.liveness(),
+        timeline=[f"{t:8.3f}s  {label}" for t, label in sorted(timeline)],
+    )
     report.extra = {
         "backend": cfg.backend,
         "seed": cfg.seed,
         "duration": cfg.duration,
         "workload": {
-            "pool_sent": cast.pool.sent,
-            "fresh_sent": cast.fresh.sent,
-            "attack_sent": cast.attack.sent,
+            "pool_sent": pool.sent,
+            "fresh_sent": fresh.sent,
+            "attack_sent": attack.sent,
         },
         "schedule": schedule_to_dicts(faults),
     }
     report.info = {
-        "pool_verdicts": dict(sorted(cast.pool.verdicts.items())),
-        "fresh_verdicts": dict(sorted(cast.fresh.verdicts.items())),
+        "pool_verdicts": dict(sorted(pool.verdicts.items())),
+        "fresh_verdicts": dict(sorted(fresh.verdicts.items())),
         "resolver_stale_served": cast.resolver.stats.stale_responses
         + cast.resolver.stats.stale_fastpath_responses,
         "resolver_breaker_opens": cast.resolver.stats.breaker_opens,
@@ -317,10 +243,8 @@ def _run_sim(cfg: ChaosConfig, faults: List[FaultSpec]) -> ChaosReport:
     orchestrator.apply(faults)
     for client in cast.clients:
         client.start()
-    horizon = cfg.duration + _NOMINAL_SLACK + cfg.client_deadline + _DRAIN_GRACE
-    backend.run(until=horizon)
-    timeline = [f"{t:8.3f}s  {label}" for t, label in sorted(orchestrator.timeline)]
-    report = _harvest(cfg, cast, faults, timeline)
+    backend.run(until=_horizon(cfg))
+    report = _harvest(cfg, cast, faults, orchestrator.timeline)
     report.info["crashes"] = orchestrator.injector.stats.crashes
     report.info["recoveries"] = orchestrator.injector.stats.recoveries
     report.info["partition_cuts"] = orchestrator.injector.stats.partition_cuts
@@ -329,46 +253,29 @@ def _run_sim(cfg: ChaosConfig, faults: List[FaultSpec]) -> ChaosReport:
 
 
 async def _run_live_async(cfg: ChaosConfig, faults: List[FaultSpec]) -> ChaosReport:
-    backend = UdpBackend(seed=cfg.seed)
     cast = _build_cast(cfg)
-    for node in cast.nodes:
-        backend.attach(node)
-    await backend.start()
-
-    orchestrator = LiveChaosOrchestrator(backend.fabric, backend.clock, cfg.seed)
-    await orchestrator.apply(faults)
-
-    loop = asyncio.get_running_loop()
     loop_errors: List[str] = []
-    loop.set_exception_handler(
-        lambda _loop, ctx: loop_errors.append(
-            str(ctx.get("exception") or ctx.get("message"))
-        )
-    )
+    async with udp_session(cast, cfg.seed, loop_errors) as backend:
+        orchestrator = LiveChaosOrchestrator(backend.fabric, backend.clock, cfg.seed)
+        await orchestrator.apply(faults)
+        await cast.drive(backend.clock, _horizon(cfg))
 
-    for client in cast.clients:
-        client.start()
-    clock = backend.clock
-    hard_stop = cfg.duration + _NOMINAL_SLACK + cfg.client_deadline + _DRAIN_GRACE
-    while clock.now < hard_stop:
-        await asyncio.sleep(0.05)
-        if all(client.finished for client in cast.clients):
-            break
-
-    timeline = [f"{t:8.3f}s  {label}" for t, label in sorted(orchestrator.timeline)]
-    report = _harvest(cfg, cast, faults, timeline)
-    report.loop_errors = loop_errors
-    report.liveness.extend(f"tcp error: {err}" for err in backend.fabric.tcp_errors)
-    report.info["crashes"] = orchestrator.stats.crashes
-    report.info["restarts"] = orchestrator.stats.restarts
-    report.info["proxies"] = orchestrator.stats.proxies
-    report.info["spec_updates"] = orchestrator.stats.spec_updates
-    for channel, stats in orchestrator.proxy_stats().items():
-        report.info[f"proxy[{channel}]"] = stats
-
-    orchestrator.close()
-    await backend.aclose()
+        report = _harvest(cfg, cast, faults, orchestrator.timeline)
+        report.loop_errors = loop_errors
+        report.liveness.extend(f"tcp error: {err}" for err in backend.fabric.tcp_errors)
+        report.info["crashes"] = orchestrator.stats.crashes
+        report.info["restarts"] = orchestrator.stats.restarts
+        report.info["proxies"] = orchestrator.stats.proxies
+        report.info["spec_updates"] = orchestrator.stats.spec_updates
+        for channel, stats in orchestrator.proxy_stats().items():
+            report.info[f"proxy[{channel}]"] = stats
+        orchestrator.close()
     return report
+
+
+def _horizon(cfg: ChaosConfig) -> float:
+    """Send phase, nominal-time slack, client deadline, drain grace."""
+    return cfg.duration + _NOMINAL_SLACK + cfg.client_deadline + DRAIN_GRACE
 
 
 def run_chaos(cfg: ChaosConfig, faults: List[FaultSpec]) -> ChaosReport:
@@ -383,8 +290,6 @@ def run_chaos(cfg: ChaosConfig, faults: List[FaultSpec]) -> ChaosReport:
 # rendering + CLI
 # ----------------------------------------------------------------------
 def render_report(report: ChaosReport) -> str:
-    from repro.analysis.provenance import provenance_header
-
     cfg = report.config
     auditor = report.auditor
     metrics = auditor.metrics()
@@ -423,16 +328,8 @@ def render_report(report: ChaosReport) -> str:
         f"time-to-90%={f'{t90}s' if t90 is not None else 'n/a'}"
     )
     lines.append("")
-    lines.append("run details (informational, timing-sensitive):")
-    lines.extend(f"  {key} = {report.info[key]}" for key in sorted(report.info))
-    problems = report.failures()
-    lines.append("")
-    if problems:
-        lines.append("FAILURES:")
-        lines.extend(f"  - {item}" for item in problems)
-    else:
-        verdict = "pass" if cfg.enforce_slo else "not gated (--slo to enforce)"
-        lines.append(f"liveness: ok; SLO: {verdict}")
+    verdict = "pass" if cfg.enforce_slo else "not gated (--slo to enforce)"
+    lines.extend(render_details(report.info, report.failures(), f"liveness: ok; SLO: {verdict}"))
     return "\n".join(lines)
 
 
@@ -443,12 +340,13 @@ def _load_schedule(path: Optional[str]) -> List[FaultSpec]:
         return schedule_from_dicts(json.load(fh))
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro chaos",
-        description="replay a fault schedule on either transport backend "
-        "and audit recovery SLOs (see docs/CHAOS.md)",
-    )
+DESCRIPTION = (
+    "replay a fault schedule on either transport backend "
+    "and audit recovery SLOs (see docs/CHAOS.md)"
+)
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=("sim", "live"), default="sim")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--duration", type=float, default=10.0,
@@ -473,8 +371,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="required recovery/pre goodput fraction")
     parser.add_argument("--max-mttr", type=float, default=None,
                         help="optional MTTR ceiling in seconds")
-    args = parser.parse_args(argv)
 
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(prog="repro chaos", description=DESCRIPTION)
+    add_arguments(parser)
+    return run_args(parser.parse_args(argv))
+
+
+def run_args(args: argparse.Namespace) -> int:
     faults = _load_schedule(args.schedule)
     cfg = ChaosConfig(
         backend=args.backend,
@@ -495,21 +400,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         if key in report.info:
             obs.inc(f"chaos.exec.{key}", report.info[key])
     if args.obs_out:
-        obs_dir = os.path.dirname(args.obs_out)
-        if obs_dir:
-            os.makedirs(obs_dir, exist_ok=True)
-        with open(args.obs_out, "w", encoding="utf-8") as fh:
-            fh.write(metrics_jsonl(obs.metrics))
+        write_output(args.obs_out, metrics_jsonl(obs.metrics))
 
     canonical = report.canonical_metrics()
     metrics_path = args.metrics_out or os.path.join(
         "results", f"chaos_{cfg.backend}.json"
     )
-    metrics_dir = os.path.dirname(metrics_path)
-    if metrics_dir:
-        os.makedirs(metrics_dir, exist_ok=True)
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        fh.write(canonical)
+    write_output(metrics_path, canonical)
     print(f"\n[metrics written to {metrics_path}]")
 
     status = 1 if report.failures() else 0
@@ -523,11 +420,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(f"determinism check ok against {args.check_against}")
     if args.out:
-        out_dir = os.path.dirname(args.out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
+        write_output(args.out, rendered + "\n")
         print(f"[report written to {args.out}]")
     return status
 

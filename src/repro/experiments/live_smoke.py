@@ -35,10 +35,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, AsyncIterator, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.provenance import provenance_header, write_output
 from repro.dcc.mopifq import MopiFqConfig
 from repro.dcc.shim import DccConfig, DccShim
 from repro.dnscore.name import Name
@@ -57,9 +59,11 @@ RESOLVER_ADDR = "10.0.1.1"
 BENIGN_ADDR = "10.0.9.1"
 ATTACK_ADDR = "10.0.9.66"
 
+DESCRIPTION = "benign+NX-flood smoke over real UDP sockets"
+
 #: extra real time allowed after the send phase for tails to drain
 #: (client deadline + liveness grace)
-_DRAIN_GRACE = 1.0
+DRAIN_GRACE = 1.0
 
 
 @dataclass
@@ -87,7 +91,6 @@ class LiveReport:
     info: Dict[str, Any] = field(default_factory=dict)
     liveness: List[str] = field(default_factory=list)
     loop_errors: List[str] = field(default_factory=list)
-    tcp_errors: List[str] = field(default_factory=list)
 
     def deterministic_line(self) -> str:
         parts = [f"{key}={self.counts[key]}" for key in sorted(self.counts)]
@@ -101,7 +104,6 @@ class LiveReport:
     def failures(self) -> List[str]:
         problems = list(self.liveness)
         problems.extend(f"event-loop error: {err}" for err in self.loop_errors)
-        problems.extend(f"tcp error: {err}" for err in self.tcp_errors)
         floor = self.config.min_goodput
         if floor is not None and self.goodput < floor:
             problems.append(
@@ -115,24 +117,9 @@ def _benign_name(i: int) -> Name:
     return Name.from_text(f"q{i:05d}.wc.{TARGET_ORIGIN}")
 
 
-def _attack_name(i: int) -> Name:
+def attack_name(i: int) -> Name:
     # the NX flood: unique non-existent names (paper Table 2 "NX")
     return Name.from_text(f"x{i:05d}.nx.{TARGET_ORIGIN}")
-
-
-def _client_engine_config(cfg: LiveConfig) -> EngineConfig:
-    # rto_min above the resolver's worst-case answer latency: client
-    # verdicts then depend only on *whether* the resolver answers (a
-    # seeded-fault function), never on wall-clock answer timing
-    return EngineConfig(
-        retries=1,
-        deadline=cfg.client_deadline,
-        inflight_capacity=512,
-        health=HealthConfig(
-            mode="adaptive", base_timeout=3.0, rto_min=3.0, rto_max=3.5,
-            failure_threshold=0,
-        ),
-    )
 
 
 def _resolver_config() -> ResolverConfig:
@@ -149,120 +136,174 @@ def _resolver_config() -> ResolverConfig:
     )
 
 
-async def _run_async(cfg: LiveConfig) -> LiveReport:
-    report = LiveReport(config=cfg)
-    backend = UdpBackend(seed=cfg.seed)
+@dataclass
+class Cast:
+    """The Figure-5 topology, ready to attach to either backend."""
 
+    root: AuthoritativeServer
+    target: AuthoritativeServer
+    resolver: RecursiveResolver
+    shim: DccShim
+    clients: List[EngineClient]
+
+    @property
+    def nodes(self) -> List[Any]:
+        return [self.root, self.target, self.resolver, *self.clients]
+
+    def liveness(self) -> List[str]:
+        """Every issued query must have reached a verdict by now."""
+        problems: List[str] = []
+        for client in self.clients:
+            if client.engine is not None:
+                problems.extend(
+                    f"{client.address}: {item}"
+                    for item in client.engine.liveness_violations(grace=DRAIN_GRACE)
+                )
+            if not client.finished:
+                problems.append(
+                    f"{client.address}: {client.sent} sent but only "
+                    f"{sum(client.verdicts.values())} verdicts at harvest"
+                )
+        return problems
+
+    async def drive(self, clock: Any, hard_stop: float) -> None:
+        """Start every client; return once all finish or at ``hard_stop``."""
+        for client in self.clients:
+            client.start()
+        while clock.now < hard_stop:
+            await asyncio.sleep(0.05)
+            if all(client.finished for client in self.clients):
+                break
+
+
+def build_cast(
+    resolver_config: ResolverConfig,
+    channel_capacity: float,
+    client_deadline: float,
+    duration: float,
+    clients: Sequence[Tuple[str, Callable[[int], Name], float]],
+) -> Cast:
+    """Root + target authoritative (answer and negative TTL 1 s), the
+    resolver behind a DCC shim capping the resolver->target channel, and
+    one open-loop client per ``(address, namer, rate)`` sending
+    ``rate * duration`` queries.  Clients and shim are built through this
+    module's ``EngineClient`` and ``DccShim`` globals, so a caller can
+    substitute instrumented subclasses."""
     root_zone = build_root_zone({TARGET_ORIGIN: ("ns1.target-domain.", TARGET_ANS_ADDR)})
     target_zone = build_target_zone(TARGET_ORIGIN, "ns1", TARGET_ANS_ADDR)
     root = AuthoritativeServer(ROOT_ADDR, zones=[root_zone])
     target = AuthoritativeServer(
         TARGET_ANS_ADDR, zones=[target_zone], udp_payload_limit=1232
     )
-
-    resolver = RecursiveResolver(RESOLVER_ADDR, _resolver_config())
+    resolver = RecursiveResolver(RESOLVER_ADDR, resolver_config)
     resolver.add_root_hint("a.root-servers.net.", ROOT_ADDR)
     shim = DccShim(
         resolver,
-        DccConfig(scheduler=MopiFqConfig(default_channel_rate=cfg.channel_capacity * 10)),
+        DccConfig(scheduler=MopiFqConfig(default_channel_rate=channel_capacity * 10)),
     )
     shim.set_channel_capacity(
-        TARGET_ANS_ADDR, cfg.channel_capacity, max(1.0, cfg.channel_capacity * 0.1)
+        TARGET_ANS_ADDR, channel_capacity, max(1.0, channel_capacity * 0.1)
     )
+    # rto_min above the resolver's worst-case answer latency: client
+    # verdicts then depend only on *whether* the resolver answers (a
+    # seeded-fault function), never on wall-clock answer timing
+    engine_config = EngineConfig(
+        retries=1,
+        deadline=client_deadline,
+        inflight_capacity=512,
+        health=HealthConfig(
+            mode="adaptive", base_timeout=3.0, rto_min=3.0, rto_max=3.5,
+            failure_threshold=0,
+        ),
+    )
+    engine_clients = [
+        EngineClient(
+            address, RESOLVER_ADDR, namer,
+            rate=rate, total=max(1, int(rate * duration)), config=engine_config,
+        )
+        for address, namer, rate in clients
+    ]
+    return Cast(root, target, resolver, shim, engine_clients)
 
-    benign = EngineClient(
-        BENIGN_ADDR, RESOLVER_ADDR, _benign_name,
-        rate=cfg.benign_rate, total=max(1, int(cfg.benign_rate * cfg.duration)),
-        config=_client_engine_config(cfg),
-    )
-    attack = EngineClient(
-        ATTACK_ADDR, RESOLVER_ADDR, _attack_name,
-        rate=cfg.attack_rate, total=max(1, int(cfg.attack_rate * cfg.duration)),
-        config=_client_engine_config(cfg),
-    )
 
-    for node in (root, target, resolver, benign, attack):
+@contextlib.asynccontextmanager
+async def udp_session(
+    cast: Cast, seed: int, loop_errors: List[str]
+) -> AsyncIterator[UdpBackend]:
+    """``cast`` attached to a started UDP backend; event-loop callback
+    errors are appended to ``loop_errors``."""
+    backend = UdpBackend(seed=seed)
+    for node in cast.nodes:
         backend.attach(node)
     await backend.start()
-
-    spec = ChaosSpec(
-        drop=cfg.loss,
-        duplicate=cfg.duplicate,
-        delay_prob=cfg.delay_prob,
-        delay_min=cfg.delay_min,
-        delay_max=cfg.delay_max,
-    )
-    # always interpose (a zero-probability spec is a pure relay) so the
-    # lossless and chaos runs traverse identical topologies
-    proxy = ChaosProxy(
-        backend.fabric, backend.clock, RESOLVER_ADDR, TARGET_ANS_ADDR, spec, cfg.seed
-    )
-    await proxy.start()
-
-    loop = asyncio.get_running_loop()
-    loop.set_exception_handler(
-        lambda _loop, ctx: report.loop_errors.append(
+    asyncio.get_running_loop().set_exception_handler(
+        lambda _loop, ctx: loop_errors.append(
             str(ctx.get("exception") or ctx.get("message"))
         )
     )
+    try:
+        yield backend
+    finally:
+        await backend.aclose()
 
-    benign.start()
-    attack.start()
 
-    clock = backend.clock
-    hard_stop = cfg.duration + cfg.client_deadline + _DRAIN_GRACE
-    while clock.now < hard_stop:
-        await asyncio.sleep(0.05)
-        if benign.finished and attack.finished:
-            break
+async def _run_async(cfg: LiveConfig) -> LiveReport:
+    report = LiveReport(config=cfg)
+    cast = build_cast(
+        _resolver_config(), cfg.channel_capacity, cfg.client_deadline, cfg.duration,
+        [(BENIGN_ADDR, _benign_name, cfg.benign_rate),
+         (ATTACK_ADDR, attack_name, cfg.attack_rate)],
+    )
+    benign, attack = cast.clients
+    async with udp_session(cast, cfg.seed, report.loop_errors) as backend:
+        spec = ChaosSpec(
+            drop=cfg.loss,
+            duplicate=cfg.duplicate,
+            delay_prob=cfg.delay_prob,
+            delay_min=cfg.delay_min,
+            delay_max=cfg.delay_max,
+        )
+        # always interpose (a zero-probability spec is a pure relay) so the
+        # lossless and chaos runs traverse identical topologies
+        proxy = ChaosProxy(
+            backend.fabric, backend.clock, RESOLVER_ADDR, TARGET_ANS_ADDR, spec, cfg.seed
+        )
+        await proxy.start()
+        await cast.drive(backend.clock, cfg.duration + cfg.client_deadline + DRAIN_GRACE)
 
-    # liveness: every issued query must have reached a verdict by now
-    for client in (benign, attack):
-        if client.engine is not None:
-            report.liveness.extend(
-                f"{client.address}: {item}"
-                for item in client.engine.liveness_violations(grace=_DRAIN_GRACE)
-            )
-        if not client.finished:
-            report.liveness.append(
-                f"{client.address}: {client.sent} sent but only "
-                f"{sum(client.verdicts.values())} verdicts at harvest"
-            )
-
-    report.counts = {
-        "benign_sent": benign.sent,
-        "benign_answered": benign.verdicts.get("answered", 0),
-        "benign_noerror": benign.rcodes.get("NOERROR", 0),
-        "benign_servfail": benign.rcodes.get("SERVFAIL", 0),
-        "benign_timeout": benign.verdicts.get("timeout", 0),
-        "benign_shed": benign.verdicts.get("shed", 0),
-        "attack_sent": attack.sent,
-    }
-    fabric_stats = backend.fabric.stats
-    report.tcp_errors = list(backend.fabric.tcp_errors)
-    report.info = {
-        "virtual_elapsed": round(clock.now, 3),
-        "attack_answered": attack.verdicts.get("answered", 0),
-        "attack_timeout": attack.verdicts.get("timeout", 0),
-        "datagrams_sent": fabric_stats.messages_sent,
-        "datagrams_delivered": fabric_stats.messages_delivered,
-        "decode_errors": fabric_stats.decode_errors,
-        "tcp_queries": fabric_stats.tcp_queries,
-        "chaos_received": proxy.stats.received,
-        "chaos_dropped": proxy.stats.dropped,
-        "chaos_duplicated": proxy.stats.duplicated,
-        "chaos_delayed": proxy.stats.delayed,
-        "resolver_queries_sent": resolver.stats.queries_sent,
-        "resolver_retries": resolver.stats.query_retries,
-        "resolver_karn_rejections": resolver.stats.karn_rejections,
-        "dcc_intercepted": shim.stats.queries_intercepted,
-        "dcc_policed": shim.stats.queries_policed,
-        "auth_queries": target.stats.queries_received,
-        "auth_nxdomain": target.stats.nxdomain_sent,
-    }
-
-    proxy.close()
-    await backend.aclose()
+        report.liveness = cast.liveness()
+        report.liveness.extend(f"tcp error: {err}" for err in backend.fabric.tcp_errors)
+        report.counts = {
+            "benign_sent": benign.sent,
+            "benign_answered": benign.verdicts.get("answered", 0),
+            "benign_noerror": benign.rcodes.get("NOERROR", 0),
+            "benign_servfail": benign.rcodes.get("SERVFAIL", 0),
+            "benign_timeout": benign.verdicts.get("timeout", 0),
+            "benign_shed": benign.verdicts.get("shed", 0),
+            "attack_sent": attack.sent,
+        }
+        fabric_stats = backend.fabric.stats
+        report.info = {
+            "virtual_elapsed": round(backend.clock.now, 3),
+            "attack_answered": attack.verdicts.get("answered", 0),
+            "attack_timeout": attack.verdicts.get("timeout", 0),
+            "datagrams_sent": fabric_stats.messages_sent,
+            "datagrams_delivered": fabric_stats.messages_delivered,
+            "decode_errors": fabric_stats.decode_errors,
+            "tcp_queries": fabric_stats.tcp_queries,
+            "chaos_received": proxy.stats.received,
+            "chaos_dropped": proxy.stats.dropped,
+            "chaos_duplicated": proxy.stats.duplicated,
+            "chaos_delayed": proxy.stats.delayed,
+            "resolver_queries_sent": cast.resolver.stats.queries_sent,
+            "resolver_retries": cast.resolver.stats.query_retries,
+            "resolver_karn_rejections": cast.resolver.stats.karn_rejections,
+            "dcc_intercepted": cast.shim.stats.queries_intercepted,
+            "dcc_policed": cast.shim.stats.queries_policed,
+            "auth_queries": cast.target.stats.queries_received,
+            "auth_nxdomain": cast.target.stats.nxdomain_sent,
+        }
+        proxy.close()
     return report
 
 
@@ -271,8 +312,6 @@ def run_live(cfg: LiveConfig) -> LiveReport:
 
 
 def render_report(report: LiveReport) -> str:
-    from repro.analysis.provenance import provenance_header
-
     cfg = report.config
     lines = [
         provenance_header(
@@ -288,30 +327,27 @@ def render_report(report: LiveReport) -> str:
         f"benign goodput: {report.goodput:.3f} "
         f"({report.counts.get('benign_noerror', 0)}/{report.counts.get('benign_sent', 0)} NOERROR)",
         "",
-        "run details (informational, timing-sensitive):",
     ]
-    lines.extend(f"  {key} = {report.info[key]}" for key in sorted(report.info))
-    problems = report.failures()
+    lines.extend(render_details(
+        report.info, report.failures(), "liveness: ok (no silent hangs, no loop errors)"
+    ))
+    return "\n".join(lines)
+
+
+def render_details(info: Dict[str, Any], problems: List[str], ok_line: str) -> List[str]:
+    """The timing-sensitive run details, then the failures or ``ok_line``."""
+    lines = ["run details (informational, timing-sensitive):"]
+    lines.extend(f"  {key} = {info[key]}" for key in sorted(info))
     lines.append("")
     if problems:
         lines.append("FAILURES:")
         lines.extend(f"  - {item}" for item in problems)
     else:
-        lines.append("liveness: ok (no silent hangs, no loop errors)")
-    return "\n".join(lines)
+        lines.append(ok_line)
+    return lines
 
 
-def _extract_counts_line(text: str) -> Optional[str]:
-    for line in text.splitlines():
-        if line.startswith("deterministic-counts:"):
-            return line.strip()
-    return None
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro live", description="benign+NX-flood smoke over real UDP sockets"
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--duration", type=float, default=2.0,
                         help="send-phase length in seconds (query counts scale with it)")
@@ -324,8 +360,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--out", default=os.path.join("results", "live_smoke.txt"))
     parser.add_argument("--check-against", default=None, metavar="FILE",
                         help="fail unless FILE's deterministic-counts line matches this run")
-    args = parser.parse_args(argv)
 
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(prog="repro live", description=DESCRIPTION)
+    add_arguments(parser)
+    return run_args(parser.parse_args(argv))
+
+
+def run_args(args: argparse.Namespace) -> int:
     cfg = LiveConfig(
         seed=args.seed,
         duration=args.duration,
@@ -343,7 +386,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         status = 1
     if args.check_against:
         with open(args.check_against, "r", encoding="utf-8") as fh:
-            expected = _extract_counts_line(fh.read())
+            expected = next((line.strip() for line in fh
+                             if line.startswith("deterministic-counts:")), None)
         actual = report.deterministic_line()
         if expected != actual:
             print("\ndeterminism check FAILED against "
@@ -352,11 +396,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(f"\ndeterminism check ok against {args.check_against}")
     if args.out:
-        out_dir = os.path.dirname(args.out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
+        write_output(args.out, rendered + "\n")
         print(f"[written to {args.out}]")
     return status
 

@@ -26,37 +26,22 @@ The matrix cells:
   so admission control sheds *suspected* clients first (the monitor
   convicts the NX abuser) instead of shedding blindly.
 
-Reported per cell: benign availability (overall and inside the fault
-window), benign goodput before/during/after the outage, attacker
-goodput during the outage, recovery time, and the resilience counters
-(breaker transitions, stale answers, sheds, deadline expiries).
+Reported per cell: the :mod:`repro.experiments.fault_matrix` metrics --
+benign availability (overall and inside the fault window), benign
+goodput before/during/after the outage, attacker goodput during the
+outage, recovery time, and the resilience counters (breaker
+transitions, stale answers, sheds, deadline expiries).
 
 CLI: ``python -m repro resilience [--scale S] [--seed N] [--out F]``.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
-from repro.analysis.report import (
-    render_resilience_table,
-    render_table,
-    resilience_counters,
-    sparkline,
-)
-from repro.experiments.chaos_resilience import (
-    BENIGN_CLIENTS,
-    benign_goodput_series,
-    recovery_time,
-)
-from repro.experiments.common import AttackScenario, ScenarioConfig, ScenarioResult
-from repro.experiments.fig8_resilience import (
-    paper_monitor_config,
-    paper_policy_templates,
-)
-from repro.netsim.faults import NodeOutage
+from repro.experiments.common import AttackScenario
+from repro.experiments.fault_matrix import CellRun, FaultMatrix
+from repro.netsim.faults import FaultSpec, NodeOutage
 from repro.netsim.trace import MessageTrace
 from repro.server.health import HealthConfig
 from repro.server.overload import OverloadConfig, ShedPolicy
@@ -117,236 +102,65 @@ def matrix_clients(time_scale: float = 1.0) -> List[ClientSpec]:
     return [spec.scaled(time_scale) for spec in specs]
 
 
-def cell_scenario_config(cell: str, scale: float, seed: int) -> ScenarioConfig:
-    if cell not in CELLS:
-        raise ValueError(f"unknown matrix cell {cell!r} (want one of {CELLS})")
-    use_dcc = cell == "hardened+dcc"
-    return ScenarioConfig(
-        seed=seed,
-        duration=60.0 * scale,
-        channel_capacity=1000.0,
-        use_dcc=use_dcc,
-        monitor=paper_monitor_config(time_scale=scale),
-        policy_templates=paper_policy_templates(time_scale=scale),
-        target_ans_count=2,
-        resolver_config=None if cell == "vanilla" else hardened_resolver_config(),
-    )
+def cell_overrides(cell: str) -> Dict[str, object]:
+    return {
+        "use_dcc": cell == "hardened+dcc",
+        "resolver_config": None if cell == "vanilla" else hardened_resolver_config(),
+    }
 
 
-def build_cell(cell: str, scale: float, seed: int) -> AttackScenario:
-    """One matrix cell, built and fault-scheduled but not yet run."""
-    scenario = AttackScenario(cell_scenario_config(cell, scale, seed))
-    scenario.add_clients(matrix_clients(time_scale=scale))
+def outage_faults(scenario: AttackScenario, scale: float) -> List[FaultSpec]:
+    """Total authoritative outage: *every* target server goes dark, so
+    during the window there is no fresh path to the benign names."""
     start = OUTAGE_START * scale
     window = (OUTAGE_END - OUTAGE_START) * scale
-    # Total authoritative outage: *every* target server goes dark, so
-    # during the window there is no fresh path to the benign names.
-    for addr in scenario.target_ans_addrs:
-        scenario.injector.add_node_outage(
-            NodeOutage(address=addr, at=start, duration=window)
-        )
-    return scenario
+    return [
+        NodeOutage(address=addr, at=start, duration=window)
+        for addr in scenario.target_ans_addrs
+    ]
 
 
-@dataclass
-class CellRun:
-    """One matrix cell plus its derived metrics."""
-
-    cell: str
-    result: ScenarioResult
-    bucket: float
-    fault_start: float
-    fault_end: float
-    availability: float
-    fault_availability: float
-    baseline_goodput: float
-    fault_goodput: float
-    post_goodput: float
-    attacker_fault_goodput: float
-    recovery_time: Optional[float]
-    goodput_series: List[float]
-    resilience_counters: Dict[str, int]
-
-    def metrics(self) -> Dict[str, object]:
-        """The headline numbers (also what the results artifact records)."""
-        out: Dict[str, object] = {
-            "availability": self.availability,
-            "fault_availability": self.fault_availability,
-            "baseline_goodput": self.baseline_goodput,
-            "fault_goodput": self.fault_goodput,
-            "post_goodput": self.post_goodput,
-            "attacker_fault_goodput": self.attacker_fault_goodput,
-            "recovery_time": self.recovery_time,
-        }
-        out.update(self.resilience_counters)
-        return out
-
-
-def _mean_over(series: List[float], bucket: float, lo: float, hi: float) -> float:
-    lo_i, hi_i = int(lo / bucket), min(int(hi / bucket), len(series))
-    window = series[lo_i:hi_i]
-    return sum(window) / max(1, len(window))
-
-
-def _availability(result: ScenarioResult, lo: float, hi: float) -> float:
-    total = successes = 0
-    for name in BENIGN_CLIENTS:
-        for record in result.clients[name].records:
-            if lo <= record.sent_at < hi:
-                total += 1
-                successes += 1 if record.success else 0
-    return successes / total if total else 0.0
-
-
-def run_cell(cell: str, scale: float = 1.0, seed: int = 42) -> CellRun:
-    scenario = build_cell(cell, scale, seed)
-    result = scenario.run()
-    bucket = 1.0 * scale
-    fault_start, fault_end = OUTAGE_START * scale, OUTAGE_END * scale
-    goodput = benign_goodput_series(result, bucket)
-    baseline = _mean_over(goodput, bucket, BASELINE_FROM * scale, fault_start)
-    attacker = result.clients["attacker"].effective_qps_series(
-        result.duration, bucket=bucket
+def verdict(runs: Dict[str, CellRun]) -> Tuple[bool, str]:
+    hardened, vanilla = runs["hardened"], runs["vanilla"]
+    holds = hardened.fault_goodput > vanilla.fault_goodput
+    text = (
+        "hardened retains benign service through the outage "
+        "(stale answers + breakers + shedding)"
+        if holds
+        else "WARNING: hardened did not beat vanilla during the outage"
     )
-    counters = resilience_counters(result.resolver_stats[0])
-    return CellRun(
-        cell=cell,
-        result=result,
-        bucket=bucket,
-        fault_start=fault_start,
-        fault_end=fault_end,
-        availability=_availability(result, 0.0, result.duration),
-        fault_availability=_availability(result, fault_start, fault_end),
-        baseline_goodput=baseline,
-        fault_goodput=_mean_over(goodput, bucket, fault_start, fault_end),
-        post_goodput=_mean_over(goodput, bucket, fault_end, result.duration),
-        attacker_fault_goodput=_mean_over(attacker, bucket, fault_start, fault_end),
-        recovery_time=recovery_time(goodput, bucket, fault_end, baseline),
-        goodput_series=goodput,
-        resilience_counters=counters,
+    return holds, (
+        f"{text}: {round(hardened.fault_goodput)} vs "
+        f"{round(vanilla.fault_goodput)} benign QPS while every "
+        "authoritative server was down."
     )
 
 
-def run_matrix(scale: float = 1.0, seed: int = 42) -> Dict[str, CellRun]:
-    """Every cell under the identical fault schedule and client load."""
-    return {cell: run_cell(cell, scale=scale, seed=seed) for cell in CELLS}
+MATRIX = FaultMatrix(
+    experiment="resilience",
+    title="Resilience matrix: total authoritative outage + NX flood",
+    fault_note="every target nameserver dark, NX flood throughout",
+    cells=CELLS,
+    configure=cell_overrides,
+    clients=matrix_clients,
+    faults=outage_faults,
+    fault_window=(OUTAGE_START, OUTAGE_END),
+    baseline_from=BASELINE_FROM,
+    verdict=verdict,
+)
+
+#: one cell, built and fault-scheduled but not yet run
+build_cell = MATRIX.build
 
 
 def cell_digest(cell: str, scale: float = 0.05, seed: int = 42) -> str:
     """SHA-256 over one cell's full delivered-message trace.
 
-    The acceptance gate for the new experiment: two fresh runs with the
+    The acceptance gate for the experiment: two fresh runs with the
     same seed must hash identically (the selfcheck property extended to
     the resilience layer's code surface -- breaker jitter, stale paths,
     shedding decisions all feed the trace).
     """
     scenario = build_cell(cell, scale, seed)
     trace = MessageTrace(scenario.net, max_records=1_000_000)
-    result = scenario.run()
-    digest = hashlib.sha256()
-    for record in trace.records:
-        digest.update(
-            (
-                f"{record.time:.9f}|{record.src}|{record.dst}|{record.question}|"
-                f"{int(record.is_response)}|{record.rcode}|{record.wire_bytes}\n"
-            ).encode("utf-8")
-        )
-    digest.update(f"events={result.events_processed}\n".encode("utf-8"))
-    digest.update(f"messages={len(trace.records)}\n".encode("utf-8"))
-    return digest.hexdigest()
-
-
-def render_report(runs: Dict[str, CellRun], scale: float, seed: int) -> str:
-    lines: List[str] = []
-    lines.append(
-        "=== Resilience matrix: total authoritative outage + NX flood "
-        f"(scale={scale}, seed={seed}) ==="
-    )
-    any_run = next(iter(runs.values()))
-    lines.append(
-        f"\noutage window [{any_run.fault_start:.2f}s, {any_run.fault_end:.2f}s): "
-        "every target nameserver dark; NX flood runs throughout."
-    )
-
-    rows = []
-    for cell, run in runs.items():
-        recovered = (
-            f"{run.recovery_time:.1f}s" if run.recovery_time is not None else "never"
-        )
-        rows.append(
-            [
-                cell,
-                f"{run.availability:.3f}",
-                f"{run.fault_availability:.3f}",
-                round(run.baseline_goodput),
-                round(run.fault_goodput),
-                round(run.post_goodput),
-                round(run.attacker_fault_goodput),
-                recovered,
-            ]
-        )
-    lines.append("\nbenign availability and goodput (summed effective QPS):")
-    lines.append(
-        render_table(
-            [
-                "cell",
-                "avail(all)",
-                "avail(fault)",
-                "goodput pre",
-                "fault",
-                "post",
-                "atk(fault)",
-                "recovery",
-            ],
-            rows,
-        )
-    )
-
-    lines.append("\nresilience-layer counters (first resolver):")
-    lines.append(
-        render_resilience_table(
-            {cell: run.result.resolver_stats[0] for cell, run in runs.items()}
-        )
-    )
-
-    lines.append("\nbenign goodput per second (outage is the dip):")
-    for cell, run in runs.items():
-        lines.append(f"  {cell:>12s} |{sparkline(run.goodput_series)}|")
-
-    hardened, vanilla = runs["hardened"], runs["vanilla"]
-    if hardened.fault_goodput > vanilla.fault_goodput:
-        verdict = (
-            "hardened retains benign service through the outage "
-            "(stale answers + breakers + shedding)"
-        )
-    else:
-        verdict = "WARNING: hardened did not beat vanilla during the outage"
-    lines.append(
-        f"\n{verdict}: {round(hardened.fault_goodput)} vs "
-        f"{round(vanilla.fault_goodput)} benign QPS while every "
-        "authoritative server was down."
-    )
-    return "\n".join(lines)
-
-
-def main(scale: float = 0.25, seed: int = 42, out: Optional[str] = None) -> int:
-    if scale <= 0:
-        raise SystemExit(f"--scale must be positive, got {scale}")
-    from repro.analysis.provenance import provenance_header
-
-    runs = run_matrix(scale=scale, seed=seed)
-    header = provenance_header("resilience", seed=seed, scale=scale)
-    report = header + "\n" + render_report(runs, scale=scale, seed=seed)
-    print(report)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(report + "\n")
-        print(f"\n[written to {out}]")
-    hardened, vanilla = runs["hardened"], runs["vanilla"]
-    return 0 if hardened.fault_goodput > vanilla.fault_goodput else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main(scale=float(sys.argv[1]) if len(sys.argv) > 1 else 0.25))
+    return trace.digest(scenario.run().events_processed)

@@ -33,11 +33,11 @@ feeds the resolver's overload watermarks through
 from __future__ import annotations
 
 import argparse
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.analysis.provenance import provenance_header, write_output
 from repro.dcc.monitor import MonitorConfig
 from repro.experiments.common import TARGET_ORIGIN, AttackScenario, ScenarioConfig
 from repro.fluid import (
@@ -318,23 +318,12 @@ class ScaleScenario:
 
     def _digest(self, events_processed: int) -> str:
         """selfcheck-style digest over everything the mode produced."""
-        hasher = hashlib.sha256()
-        for record in self.trace.records:
-            hasher.update(
-                (
-                    f"{record.time:.9f}|{record.src}|{record.dst}|{record.question}|"
-                    f"{int(record.is_response)}|{record.rcode}|{record.wire_bytes}\n"
-                ).encode("utf-8")
-            )
-        hasher.update(f"events={events_processed}\n".encode("utf-8"))
-        hasher.update(f"messages={len(self.trace.records)}\n".encode("utf-8"))
+        extra = []
         if self.bridge is not None:
-            hasher.update(f"fluid={self.bridge.digest()}\n".encode("ascii"))
+            extra.append(f"fluid={self.bridge.digest()}")
         if self.controller is not None:
-            hasher.update(
-                f"promotion={self.controller.events_digest()}\n".encode("ascii")
-            )
-        return hasher.hexdigest()
+            extra.append(f"promotion={self.controller.events_digest()}")
+        return self.trace.digest(events_processed, extra)
 
 
 def run_mode(config: ScaleConfig, mode: str) -> ModeResult:
@@ -361,8 +350,6 @@ def compare_verdicts(hybrid: ModeResult, packet: ModeResult) -> List[str]:
 
 def _render(config: ScaleConfig, runs: Dict[str, List[ModeResult]],
             problems: List[str]) -> str:
-    from repro.analysis.provenance import provenance_header
-
     lines = [
         provenance_header(
             "scale",
@@ -426,12 +413,13 @@ def _render(config: ScaleConfig, runs: Dict[str, List[ModeResult]],
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro scale",
-        description="million-client hybrid fluid/packet scenario "
-        "(double-run digest per mode; see docs/SCALING.md)",
-    )
+DESCRIPTION = (
+    "million-client hybrid fluid/packet scenario "
+    "(double-run digest per mode; see docs/SCALING.md)"
+)
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--clients", type=int, default=1_000_000,
                         help="benign population size (default 10^6)")
     parser.add_argument("--seed", type=int, default=42)
@@ -448,7 +436,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--no-check-verdicts", action="store_true",
                         help="skip the hybrid-vs-packet verdict gate")
     parser.add_argument("--out", type=str, default="results/scale.txt")
-    args = parser.parse_args(argv)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(prog="repro scale", description=DESCRIPTION)
+    add_arguments(parser)
+    return run_args(parser.parse_args(argv))
+
+
+def run_args(args: argparse.Namespace) -> int:
 
     if not HAVE_NUMPY and args.mode != "packet":
         print("repro scale: numpy is required for fluid/hybrid modes")
@@ -483,11 +479,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = _render(config, runs, problems)
     print(report)
     if args.out:
-        import os
-
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report + "\n")
+        write_output(args.out, report + "\n")
     return 0 if ok else 1
 
 

@@ -23,10 +23,10 @@ CLI: ``repro-experiments selfcheck [--seed N] [--scale S] [--runs K]``.
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Optional
 
 from repro import sanitize
+from repro.analysis.provenance import provenance_header, write_output
 from repro.experiments.common import AttackScenario, ScenarioConfig
 from repro.netsim.trace import MessageTrace
 from repro.workloads.schedule import table2_clients
@@ -53,17 +53,7 @@ def trace_digest(seed: int = 42, scale: float = 0.05, obs=None) -> str:
     scenario.add_clients(specs)
     result = scenario.run()
 
-    digest = hashlib.sha256()
-    for record in trace.records:
-        digest.update(
-            (
-                f"{record.time:.9f}|{record.src}|{record.dst}|{record.question}|"
-                f"{int(record.is_response)}|{record.rcode}|{record.wire_bytes}\n"
-            ).encode("utf-8")
-        )
-    digest.update(f"events={result.events_processed}\n".encode("utf-8"))
-    digest.update(f"messages={len(trace.records)}\n".encode("utf-8"))
-    return digest.hexdigest()
+    return trace.digest(result.events_processed)
 
 
 def run_selfcheck(
@@ -82,8 +72,6 @@ def main(
     seed: int = 42, scale: float = 0.05, runs: int = 2, out: Optional[str] = None
 ) -> int:
     """Print per-run digests; exit 0 iff all runs hashed identically."""
-    from repro.analysis.provenance import provenance_header
-
     digests = run_selfcheck(seed=seed, scale=scale, runs=runs)
     lines = [
         provenance_header("selfcheck", seed=seed, scale=scale, config={"runs": runs}),
@@ -101,8 +89,7 @@ def main(
     report = "\n".join(lines)
     print(report)
     if out is not None:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
+        write_output(out, report + "\n")
     return 0 if identical else 1
 
 

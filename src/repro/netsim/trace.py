@@ -11,8 +11,9 @@ Tracing is passive: it never alters delivery, ordering, or timing.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.dnscore.message import Message
 from repro.netsim.link import Network
@@ -133,6 +134,23 @@ class MessageTrace:
         if self.dropped:
             lines.append(f"(+{self.dropped} records beyond max_records)")
         return "\n".join(lines)
+
+    def digest(self, events_processed: int, extra: Iterable[str] = ()) -> str:
+        """SHA-256 over every record, the run's event count, and any
+        ``extra`` lines: the determinism anchor of the double-run gates."""
+        hasher = hashlib.sha256()
+        for record in self.records:
+            hasher.update(
+                (
+                    f"{record.time:.9f}|{record.src}|{record.dst}|{record.question}|"
+                    f"{int(record.is_response)}|{record.rcode}|{record.wire_bytes}\n"
+                ).encode("utf-8")
+            )
+        hasher.update(f"events={events_processed}\n".encode("utf-8"))
+        hasher.update(f"messages={len(self.records)}\n".encode("utf-8"))
+        for line in extra:
+            hasher.update(f"{line}\n".encode("utf-8"))
+        return hasher.hexdigest()
 
     def dump(self, limit: int = 50) -> str:
         return "\n".join(str(record) for record in self.records[:limit])

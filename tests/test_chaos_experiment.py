@@ -10,8 +10,7 @@ import pytest
 
 from repro.dcc.monitor import AnomalyKind, ClientVerdict, MonitorConfig
 from repro.dcc.policing import PolicyKind, PolicyTemplate
-from repro.experiments import chaos_resilience
-from repro.experiments.chaos_resilience import run_chaos, run_pair
+from repro.experiments.chaos_resilience import MATRIX
 from repro.experiments.common import AttackScenario, ScenarioConfig
 from repro.netsim.faults import NodeOutage
 from repro.workloads.schedule import ClientSpec
@@ -21,25 +20,25 @@ SCALE = 0.1
 
 class TestChaosExperiment:
     def test_run_is_deterministic(self):
-        a = run_chaos(use_dcc=True, scale=SCALE, seed=7)
-        b = run_chaos(use_dcc=True, scale=SCALE, seed=7)
+        a = MATRIX.run_cell("dcc", scale=SCALE, seed=7)
+        b = MATRIX.run_cell("dcc", scale=SCALE, seed=7)
         assert a.metrics() == b.metrics()
         assert a.goodput_series == b.goodput_series
         assert a.timeline == b.timeline
 
     def test_fault_schedule_executes(self):
-        run = run_chaos(use_dcc=False, scale=SCALE, seed=42)
+        run = MATRIX.run_cell("vanilla", scale=SCALE, seed=42)
         assert run.fault_stats.crashes == 1
         assert run.fault_stats.recoveries == 1
         assert run.fault_stats.degraded_messages > 0
         assert "crash" in run.timeline and "recover" in run.timeline
 
     def test_goodput_dips_during_fault(self):
-        run = run_chaos(use_dcc=False, scale=SCALE, seed=42)
+        run = MATRIX.run_cell("vanilla", scale=SCALE, seed=42)
         assert run.fault_goodput < run.baseline_goodput
 
     def test_dcc_dominates_vanilla_under_identical_faults(self):
-        runs = run_pair(scale=0.15, seed=42)
+        runs = MATRIX.run(scale=0.15, seed=42)
         dcc, vanilla = runs["dcc"], runs["vanilla"]
         # Both cells saw the exact same fault schedule...
         assert dcc.timeline == vanilla.timeline
@@ -48,8 +47,8 @@ class TestChaosExperiment:
         assert dcc.availability >= vanilla.availability
 
     def test_report_renders(self):
-        runs = run_pair(scale=SCALE, seed=42)
-        report = chaos_resilience.render_report(runs, scale=SCALE, seed=42)
+        runs = MATRIX.run(scale=SCALE, seed=42)
+        report = MATRIX.render(runs, scale=SCALE, seed=42)
         assert "recovery" in report
         assert "avail(fault)" in report
 

@@ -40,12 +40,17 @@ def test_ablations(capsys):
 
 
 def test_resilience_small(capsys, tmp_path):
-    out_file = tmp_path / "matrix.txt"
-    assert main(["resilience", "--scale", "0.05", "--out", str(out_file)]) == 0
-    out = capsys.readouterr().out
-    assert "Resilience matrix" in out
-    assert "hardened retains benign service" in out
-    assert "Resilience matrix" in out_file.read_text()
+    # both fault matrices go through the same runner and report layout
+    for command, title, verdict in (
+        ("resilience", "Resilience matrix", "hardened retains benign service"),
+        ("chaos-matrix", "Chaos resilience", "DCC sustains benign goodput"),
+    ):
+        out_file = tmp_path / f"{command}.txt"
+        assert main([command, "--scale", "0.05", "--out", str(out_file)]) == 0
+        out = capsys.readouterr().out
+        assert title in out
+        assert verdict in out
+        assert title in out_file.read_text()
 
 
 def test_lint_subcommand_forwards_to_reprolint(capsys, tmp_path):
@@ -63,6 +68,30 @@ def test_lint_subcommand_forwards_to_reprolint(capsys, tmp_path):
 
 def test_lint_subcommand_propagates_path_errors(tmp_path):
     assert main(["lint", str(tmp_path / "missing"), "--no-cache"]) == 2
+
+
+SUBCOMMANDS = (
+    "fig2", "fig4", "fig8", "fig9", "fig10", "fig11", "table1", "ablations",
+    "selfcheck", "obs", "chaos", "chaos-matrix", "resilience", "fuzz", "lint",
+    "live", "bench", "scale", "all",
+)
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    listed = {
+        line.split()[0]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("    ") and not line.startswith("     ")
+    }
+    assert listed == set(SUBCOMMANDS)
+
+
+def test_unknown_option_rejected():
+    with pytest.raises(SystemExit):
+        main(["table1", "--bogus"])
 
 
 def test_unknown_command_rejected():

@@ -16,7 +16,7 @@ class TestHardenedBeatsVanilla:
     @pytest.fixture(scope="class")
     def cells(self):
         return {
-            cell: rm.run_cell(cell, scale=0.1, seed=42)
+            cell: rm.MATRIX.run_cell(cell, scale=0.1, seed=42)
             for cell in ("vanilla", "hardened")
         }
 
@@ -87,7 +87,7 @@ class TestReportHelpers:
 class TestPlumbing:
     def test_unknown_cell_rejected(self):
         with pytest.raises(ValueError):
-            rm.cell_scenario_config("bogus", scale=0.1, seed=1)
+            rm.MATRIX.scenario_config("bogus", scale=0.1, seed=1)
 
     def test_clients_scale_with_timeline(self):
         specs = {s.name: s for s in rm.matrix_clients(time_scale=0.5)}
@@ -97,10 +97,10 @@ class TestPlumbing:
 
     def test_report_renders(self):
         runs = {
-            cell: rm.run_cell(cell, scale=0.05, seed=3)
+            cell: rm.MATRIX.run_cell(cell, scale=0.05, seed=3)
             for cell in rm.CELLS
         }
-        report = rm.render_report(runs, scale=0.05, seed=3)
+        report = rm.MATRIX.render(runs, scale=0.05, seed=3)
         assert "Resilience matrix" in report
         for cell in rm.CELLS:
             assert cell in report
