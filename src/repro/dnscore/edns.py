@@ -56,6 +56,10 @@ class EdnsOption:
         return 4 + len(self.payload)
 
 
+#: port, request ID and address length ahead of the ASCII address
+_ATTRIBUTION_HEADER = struct.Struct("!HIB")
+
+
 @dataclass(frozen=True)
 class ClientAttribution:
     """Identity of the client request a resolver query derives from.
@@ -71,14 +75,14 @@ class ClientAttribution:
 
     def encode(self) -> EdnsOption:
         addr = self.client.encode("ascii")
-        payload = struct.pack("!HIB", self.port, self.request_id, len(addr)) + addr
+        payload = _ATTRIBUTION_HEADER.pack(self.port, self.request_id, len(addr)) + addr
         return EdnsOption(OptionCode.CLIENT_ATTRIBUTION, payload)
 
     @classmethod
     def decode(cls, option: EdnsOption) -> "ClientAttribution":
         if len(option.payload) < 7:
             raise WireDecodeError("attribution option payload too short")
-        port, request_id, addr_len = struct.unpack("!HIB", option.payload[:7])
+        port, request_id, addr_len = _ATTRIBUTION_HEADER.unpack_from(option.payload)
         addr = option.payload[7 : 7 + addr_len]
         if len(addr) != addr_len:
             raise WireDecodeError("attribution option truncated address")

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import List, Optional
+import operator
+from dataclasses import FrozenInstanceError
+from typing import List, Optional, cast
 
 from repro.dnscore.edns import EdnsOption, find_option
 from repro.dnscore.name import Name
@@ -46,12 +47,60 @@ class Flags(enum.IntFlag):
     RA = 0x0080
 
 
-@dataclass(frozen=True)
+#: integer masks and flag sets for the hot-path header tests below
+_QR = int(Flags.QR)
+_TC = int(Flags.TC)
+_RD = int(Flags.RD)
+_NO_FLAGS = Flags(0)
+_QR_RD_RA = Flags.QR | Flags.RD | Flags.RA
+
+_set = object.__setattr__
+
+#: Message's fields in constructor order (equality and repr follow it)
+_MESSAGE_FIELDS = (
+    "question", "id", "opcode", "flags", "rcode", "answers", "authority",
+    "additional", "edns_options", "via_tcp",
+)
+_message_values = operator.attrgetter(*_MESSAGE_FIELDS)
+
+
 class Question:
-    """The question section entry: (QNAME, QTYPE); IN class implied."""
+    """The question section entry: (QNAME, QTYPE); IN class implied.
+
+    Immutable and hashable (it keys caches and in-flight tables), with
+    the hash computed once.
+    """
+
+    __slots__ = ("name", "rrtype", "_hash")
 
     name: Name
     rrtype: RRType
+
+    def __init__(self, name: Name, rrtype: RRType) -> None:
+        _set(self, "name", name)
+        _set(self, "rrtype", rrtype)
+        _set(self, "_hash", hash((name, rrtype)))
+
+    def __setattr__(self, attr: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        other = cast(Question, other)
+        return self.name == other.name and self.rrtype == other.rrtype
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (Question, (self.name, self.rrtype))
+
+    def __repr__(self) -> str:
+        return f"Question(name={self.name!r}, rrtype={self.rrtype!r})"
 
     def __str__(self) -> str:
         return f"{self.name} {self.rrtype}"
@@ -60,22 +109,48 @@ class Question:
         return self.name.wire_length() + 4
 
 
-@dataclass
 class Message:
     """A DNS query or response."""
 
-    question: Question
-    id: int = field(default_factory=next_message_id)
-    opcode: Opcode = Opcode.QUERY
-    flags: Flags = Flags(0)
-    rcode: RCode = RCode.NOERROR
-    answers: List[RRSet] = field(default_factory=list)
-    authority: List[RRSet] = field(default_factory=list)
-    additional: List[RRSet] = field(default_factory=list)
-    edns_options: List[EdnsOption] = field(default_factory=list)
-    #: transport marker: True = sent over a reliable stream (no size
-    #: limit); False = datagram, subject to EDNS-size truncation
-    via_tcp: bool = False
+    __slots__ = _MESSAGE_FIELDS
+
+    #: unhashable: messages are mutable while being built
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        question: Question,
+        id: Optional[int] = None,
+        opcode: Opcode = Opcode.QUERY,
+        flags: Flags = _NO_FLAGS,
+        rcode: RCode = RCode.NOERROR,
+        answers: Optional[List[RRSet]] = None,
+        authority: Optional[List[RRSet]] = None,
+        additional: Optional[List[RRSet]] = None,
+        edns_options: Optional[List[EdnsOption]] = None,
+        via_tcp: bool = False,
+    ) -> None:
+        self.question = question
+        self.id: int = next_message_id() if id is None else id
+        self.opcode = opcode
+        self.flags = flags
+        self.rcode = rcode
+        self.answers: List[RRSet] = [] if answers is None else answers
+        self.authority: List[RRSet] = [] if authority is None else authority
+        self.additional: List[RRSet] = [] if additional is None else additional
+        self.edns_options: List[EdnsOption] = [] if edns_options is None else edns_options
+        #: transport marker: True = sent over a reliable stream (no size
+        #: limit); False = datagram, subject to EDNS-size truncation
+        self.via_tcp = via_tcp
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _message_values(self) == _message_values(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _MESSAGE_FIELDS)
+        return f"Message({fields})"
 
     # ------------------------------------------------------------------
     # constructors
@@ -88,23 +163,20 @@ class Message:
         recursion_desired: bool = True,
         msg_id: Optional[int] = None,
     ) -> "Message":
-        flags = Flags.RD if recursion_desired else Flags(0)
-        kwargs = {} if msg_id is None else {"id": msg_id}
-        return cls(question=Question(name, rrtype), flags=flags, **kwargs)
+        flags = Flags.RD if recursion_desired else _NO_FLAGS
+        return cls(Question(name, rrtype), msg_id, flags=flags)
 
     def make_response(self, rcode: RCode = RCode.NOERROR) -> "Message":
         """A response skeleton echoing this query's ID and question."""
-        flags = Flags.QR
-        if self.flags & Flags.RD:
-            flags |= Flags.RD | Flags.RA
-        return Message(question=self.question, id=self.id, flags=flags, rcode=rcode)
+        flags = _QR_RD_RA if int(self.flags) & _RD else Flags.QR
+        return Message(self.question, self.id, flags=flags, rcode=rcode)
 
     # ------------------------------------------------------------------
     # classification
     # ------------------------------------------------------------------
     @property
     def is_response(self) -> bool:
-        return bool(self.flags & Flags.QR)
+        return bool(int(self.flags) & _QR)
 
     @property
     def is_query(self) -> bool:
@@ -112,7 +184,7 @@ class Message:
 
     @property
     def is_truncated(self) -> bool:
-        return bool(self.flags & Flags.TC)
+        return bool(int(self.flags) & _TC)
 
     def truncate(self) -> "Message":
         """A TC-flagged copy with all record sections dropped, as a UDP
@@ -161,9 +233,14 @@ class Message:
 
     def wire_length(self) -> int:
         """Approximate uncompressed message size (for transport stats)."""
-        size = 12 + self.question.wire_length()
-        for section in (self.answers, self.authority, self.additional):
-            size += sum(rrset.wire_length() for rrset in section)
+        # 12-octet header, QNAME, then QTYPE and QCLASS
+        size = 16 + self.question.name.wire_length()
+        if self.answers:
+            size += sum(rrset.wire_length() for rrset in self.answers)
+        if self.authority:
+            size += sum(rrset.wire_length() for rrset in self.authority)
+        if self.additional:
+            size += sum(rrset.wire_length() for rrset in self.additional)
         if self.edns_options:
             size += 11 + sum(opt.wire_length() for opt in self.edns_options)
         return size

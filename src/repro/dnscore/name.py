@@ -13,7 +13,7 @@ lookup uses to find predecessors and closest enclosers.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union, cast
 
 from repro.dnscore.errors import FormError, NameTooLong
 
@@ -39,15 +39,22 @@ class Name:
     True
     """
 
-    __slots__ = ("_labels", "_hash")
+    __slots__ = ("_labels", "_hash", "_wire")
 
-    def __init__(self, labels: Iterable[str]) -> None:
-        normalized = tuple(_normalize_label(lbl) for lbl in labels)
-        wire_len = sum(len(lbl) + 1 for lbl in normalized) + 1
-        if wire_len > MAX_NAME_LENGTH:
-            raise NameTooLong(f"name would be {wire_len} octets on the wire")
+    def __init__(self, labels: Iterable[str], _wire: int = 0) -> None:
+        if _wire:
+            # Trusted branch for the structural methods below: ``labels``
+            # is a tuple of already-normalised labels whose wire length
+            # ``_wire`` is known and within MAX_NAME_LENGTH.
+            normalized = cast("Tuple[str, ...]", labels)
+        else:
+            normalized = tuple(map(_normalize_label, labels))
+            _wire = sum(map(len, normalized)) + len(normalized) + 1
+            if _wire > MAX_NAME_LENGTH:
+                raise NameTooLong(f"name would be {_wire} octets on the wire")
         self._labels = normalized
         self._hash = hash(normalized)
+        self._wire = _wire
 
     # ------------------------------------------------------------------
     # constructors
@@ -94,17 +101,25 @@ class Name:
 
         Raises :class:`FormError` on the root, which has no parent.
         """
-        if self.is_root:
+        labels = self._labels
+        if not labels:
             raise FormError("the root name has no parent")
-        return Name(self._labels[1:])
+        return Name(labels[1:], self._wire - len(labels[0]) - 1)
 
     def child(self, label: str) -> "Name":
         """Prepend ``label``, producing a direct subdomain of this name."""
-        return Name((label,) + self._labels)
+        label = _normalize_label(label)
+        wire_len = self._wire + len(label) + 1
+        if wire_len > MAX_NAME_LENGTH:
+            raise NameTooLong(f"name would be {wire_len} octets on the wire")
+        return Name((label,) + self._labels, wire_len)
 
     def concat(self, suffix: "Name") -> "Name":
         """Concatenate: ``Name(('a',)).concat(example.com.) == a.example.com.``"""
-        return Name(self._labels + suffix._labels)
+        wire_len = self._wire + suffix._wire - 1
+        if wire_len > MAX_NAME_LENGTH:
+            raise NameTooLong(f"name would be {wire_len} octets on the wire")
+        return Name(self._labels + suffix._labels, wire_len)
 
     def relativize(self, origin: "Name") -> Tuple[str, ...]:
         """Labels of this name below ``origin``.
@@ -128,16 +143,25 @@ class Name:
 
     def ancestors(self) -> Iterator["Name"]:
         """Yield this name, then each parent up to and including the root."""
+        yield self
         labels = self._labels
-        for i in range(len(labels) + 1):
-            yield Name(labels[i:])
+        if not labels:
+            return
+        wire_len = self._wire
+        for i in range(1, len(labels)):
+            wire_len -= len(labels[i - 1]) + 1
+            yield Name(labels[i:], wire_len)
+        yield ROOT
 
     def wildcard_sibling(self) -> "Name":
         """The wildcard name at this name's parent: ``*.<parent>``.
 
         Used by zone lookup when checking for RFC 4592 synthesis.
         """
-        return self.parent().child("*")
+        labels = self._labels
+        if not labels:
+            raise FormError("the root name has no parent")
+        return Name(("*",) + labels[1:], self._wire - len(labels[0]) + 1)
 
     def canonical_key(self) -> Tuple[str, ...]:
         """Sort key implementing canonical DNS ordering (RFC 4034 6.1):
@@ -146,7 +170,7 @@ class Name:
 
     def wire_length(self) -> int:
         """Uncompressed wire-format length in octets."""
-        return sum(len(lbl) + 1 for lbl in self._labels) + 1
+        return self._wire
 
     # ------------------------------------------------------------------
     # protocol

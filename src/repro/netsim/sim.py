@@ -1,9 +1,11 @@
 """The discrete-event simulator core.
 
-A binary heap of timestamped events drives virtual time forward.  Events
-scheduled for the same instant fire in scheduling order (a monotone
-sequence number breaks ties), which keeps runs deterministic regardless
-of hash seeds or dict ordering.
+A binary heap of ``(time, seq, event)`` entries drives virtual time
+forward.  Events scheduled for the same instant fire in scheduling order
+(the monotone sequence number breaks ties), which keeps runs
+deterministic regardless of hash seeds or dict ordering.  Because
+``seq`` is unique, heap order is settled by comparing floats and ints;
+the ``Event`` objects themselves are never compared.
 """
 
 from __future__ import annotations
@@ -11,9 +13,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import sanitize as simsan
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class Event:
@@ -46,12 +51,13 @@ class Event:
         if self._sim is not None:
             self._sim._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, {getattr(self.fn, '__name__', self.fn)}, {state})"
+
+
+#: a heap entry: the event's key, then the event
+HeapEntry = Tuple[float, int, Event]
 
 
 class Simulator:
@@ -63,7 +69,7 @@ class Simulator:
 
     def __init__(self, seed: int = 42, sanitize: Optional[bool] = None) -> None:
         self._now = 0.0
-        self._heap: list[Event] = []
+        self._heap: List[HeapEntry] = []
         self._seq = itertools.count()
         self._seed = seed
         self._rngs: Dict[str, random.Random] = {}
@@ -114,8 +120,9 @@ class Simulator:
         """Run ``fn(*args)`` at absolute virtual time ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule at {time} < now {self._now}")
-        event = Event(time, next(self._seq), fn, args, sim=self)
-        heapq.heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(time, seq, fn, args, self)
+        _heappush(self._heap, (time, seq, event))
         return event
 
     def _note_cancelled(self) -> None:
@@ -132,11 +139,11 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        live = [event for event in self._heap if not event.cancelled]
-        before = sorted((e.time, e.seq) for e in live) if self.sanitize else None
+        live = [entry for entry in self._heap if not entry[2].cancelled]
+        before = sorted(entry[:2] for entry in live) if self.sanitize else None
         self._heap = self._rebuild_heap(live)
         if before is not None:
-            after = sorted((e.time, e.seq) for e in self._heap)
+            after = sorted(entry[:2] for entry in self._heap)
             if before != after:
                 simsan.fail(
                     "heap compaction changed the live-event multiset "
@@ -145,8 +152,8 @@ class Simulator:
         self._cancelled = 0
         self.compactions += 1
 
-    def _rebuild_heap(self, live: List[Event]) -> List[Event]:
-        """Heapify the surviving events (split out so SimSan can verify
+    def _rebuild_heap(self, live: List[HeapEntry]) -> List[HeapEntry]:
+        """Heapify the surviving entries (split out so SimSan can verify
         the live-event multiset across any alternative implementation)."""
         heapq.heapify(live)
         return live
@@ -167,11 +174,12 @@ class Simulator:
         ``until`` so periodic samplers see a full final interval.
         """
         processed = 0
+        # self._heap is re-read on every pass: a callback that cancels
+        # enough events triggers _compact(), which rebinds it.
         while self._heap:
-            event = self._heap[0]
-            if until is not None and event.time > until:
+            if until is not None and self._heap[0][0] > until:
                 break
-            heapq.heappop(self._heap)
+            event = _heappop(self._heap)[2]
             event._sim = None
             if event.cancelled:
                 self._cancelled -= 1
@@ -196,7 +204,7 @@ class Simulator:
     def step(self) -> bool:
         """Process a single event; returns False when the heap is empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = _heappop(self._heap)[2]
             event._sim = None
             if event.cancelled:
                 self._cancelled -= 1

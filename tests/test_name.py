@@ -141,3 +141,93 @@ class TestProperties:
     def test_ancestors_are_supersets(self, name):
         for ancestor in name.ancestors():
             assert name.is_subdomain_of(ancestor)
+
+
+# Labels in mixed case (the structural methods must normalise only what
+# is new) and long enough that combined names can exceed 255 octets.
+mixed_label_st = st.text(alphabet="abcdefxyzABCXYZ019-_*", min_size=1, max_size=63)
+wide_name_st = st.lists(mixed_label_st, min_size=0, max_size=8).map(
+    lambda labels: Name(labels) if sum(len(lbl) + 1 for lbl in labels) < 255 else ROOT
+)
+
+
+def _assert_canonical(result):
+    """``result`` is indistinguishable from the same name parsed afresh."""
+    reference = Name.from_text(str(result))
+    assert result == reference
+    assert result.labels == reference.labels
+    assert hash(result) == hash(reference)
+    assert result.wire_length() == reference.wire_length()
+
+
+class TestDerivedNames:
+    @settings(max_examples=200, deadline=None)
+    @given(wide_name_st)
+    def test_parent_is_canonical(self, name):
+        if not name.is_root:
+            _assert_canonical(name.parent())
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_name_st, mixed_label_st)
+    def test_child_is_canonical_or_too_long(self, name, label):
+        try:
+            expected = Name((label,) + name.labels)
+        except NameTooLong:
+            with pytest.raises(NameTooLong):
+                name.child(label)
+            return
+        result = name.child(label)
+        _assert_canonical(result)
+        assert result == expected
+        assert result.labels[0] == label.lower()
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_name_st, wide_name_st)
+    def test_concat_is_canonical_or_too_long(self, prefix, suffix):
+        try:
+            expected = Name(prefix.labels + suffix.labels)
+        except NameTooLong:
+            with pytest.raises(NameTooLong):
+                prefix.concat(suffix)
+            return
+        result = prefix.concat(suffix)
+        _assert_canonical(result)
+        assert result == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_name_st)
+    def test_ancestors_are_canonical(self, name):
+        chain = list(name.ancestors())
+        assert len(chain) == len(name) + 1
+        assert chain[0] == name and chain[-1] == ROOT
+        for i, ancestor in enumerate(chain):
+            _assert_canonical(ancestor)
+            assert ancestor.labels == name.labels[i:]
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_name_st)
+    def test_wildcard_sibling_is_canonical(self, name):
+        if name.is_root:
+            with pytest.raises(FormError):
+                name.wildcard_sibling()
+            return
+        result = name.wildcard_sibling()
+        _assert_canonical(result)
+        assert result.is_wildcard
+        assert result.parent() == name.parent()
+
+    def test_child_rejects_a_name_over_255_octets(self):
+        base = Name(("a" * 63,) * 3 + ("b" * 60,))  # 3*64 + 61 + 1 = 254
+        assert base.wire_length() == 254
+        with pytest.raises(NameTooLong):
+            base.child("c")
+        assert Name(("a" * 63,) * 3 + ("b" * 59,)).child("c").wire_length() == 255
+
+    def test_child_rejects_a_64_octet_label(self):
+        with pytest.raises(NameTooLong):
+            ROOT.child("x" * (MAX_LABEL_LENGTH + 1))
+        assert ROOT.child("X" * MAX_LABEL_LENGTH).labels == ("x" * MAX_LABEL_LENGTH,)
+
+    def test_child_rejects_an_empty_label(self):
+        with pytest.raises(FormError):
+            Name.from_text("example.com").child("")

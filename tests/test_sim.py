@@ -175,3 +175,65 @@ def test_compaction_preserves_firing_order():
         event.cancel()
     sim.run()
     assert fired == list(range(1, 128, 2))
+
+
+def test_same_instant_fifo_across_scheduling_calls():
+    # schedule, schedule_at and call_soon share one sequence counter, so
+    # same-instant events fire in the order they were scheduled,
+    # whichever call scheduled them.
+    sim = Simulator()
+    order = []
+
+    def first():
+        order.append("first")
+        sim.call_soon(order.append, "soon")
+        sim.schedule_at(sim.now, order.append, "at-now")
+        sim.schedule(0.0, order.append, "zero-delay")
+
+    sim.schedule(1.0, first)
+    sim.schedule_at(1.0, order.append, "at")
+    sim.schedule(1.0, order.append, "delay")
+    sim.run()
+    assert order == ["first", "at", "delay", "soon", "at-now", "zero-delay"]
+
+
+def test_run_until_is_inclusive_of_the_boundary_key():
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(2.0, fired.append, "on")
+    sim.schedule_at(2.0 + 1e-9, fired.append, "after")
+    sim.run(until=2.0)
+    assert fired == ["on"]
+    assert sim.now == 2.0
+    assert sim.pending() == 1
+    sim.run(until=2.0)  # nothing left at or before the boundary
+    assert fired == ["on"]
+    sim.run()
+    assert fired == ["on", "after"]
+
+
+def test_compaction_inside_a_callback_loses_no_live_event():
+    # A callback that cancels more than half the heap compacts it in the
+    # middle of run(); the loop must then drain the rebuilt heap, including
+    # events scheduled after the compaction.
+    sim = Simulator()
+    fired = []
+    events = {}
+
+    def purge():
+        fired.append(sim.now)
+        before = sim.compactions
+        for t in range(2, 202):
+            events[t].cancel()
+        assert sim.compactions > before
+        sim.schedule_at(150.5, fired.append, 150.5)
+        sim.schedule_at(250.5, fired.append, 250.5)
+
+    sim.schedule_at(1.0, purge)
+    for t in range(2, 301):
+        events[t] = sim.schedule_at(float(t), fired.append, float(t))
+    sim.run()
+    expected = [1.0, 150.5] + [float(t) for t in range(202, 251)] + [250.5]
+    expected += [float(t) for t in range(251, 301)]
+    assert fired == expected
+    assert sim.pending() == 0

@@ -7,7 +7,7 @@ import pytest
 
 from repro import sanitize
 from repro.dcc.mopifq import MopiFq, MopiFqConfig, _PoqState
-from repro.netsim.sim import Event, Simulator
+from repro.netsim.sim import HeapEntry, Simulator
 from repro.util.tokenbucket import TokenBucket, WindowedCounter
 
 
@@ -41,7 +41,7 @@ def test_heap_monotonicity_silent_when_disabled():
 class _LossyCompactionSim(Simulator):
     """A scheduler whose compaction silently drops one live event."""
 
-    def _rebuild_heap(self, live: List[Event]) -> List[Event]:
+    def _rebuild_heap(self, live: List[HeapEntry]) -> List[HeapEntry]:
         return super()._rebuild_heap(live[:-1] if live else live)
 
 

@@ -24,6 +24,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -195,6 +196,13 @@ def _write_cache(cache_path: Optional[str], analyses: Sequence[FileAnalysis]) ->
 # the run
 # ----------------------------------------------------------------------
 
+#: CPython 3.11 keeps the AST builder's recursion counter in
+#: interpreter-wide state. A thread switch inside ast.parse (a garbage
+#: collection that runs a Python finalizer is enough) lets another
+#: worker's parse corrupt it: "AST constructor recursion depth mismatch".
+_PARSE_LOCK = threading.Lock()
+
+
 def _analyze_one(
     filepath: str, cached: Optional[Dict[str, object]]
 ) -> Tuple[FileAnalysis, List[str]]:
@@ -206,7 +214,8 @@ def _analyze_one(
     lines = source.splitlines()
     if cached is not None and cached.get("sha") == sha:
         return FileAnalysis.from_cache_entry(posix_path, cached), lines
-    tree = ast.parse(source, filename=posix_path)
+    with _PARSE_LOCK:
+        tree = ast.parse(source, filename=posix_path)
     findings = check_tree(tree, posix_path, lines)
     facts = extract_facts(tree, posix_path)
     return FileAnalysis(posix_path, sha, findings, facts), lines
